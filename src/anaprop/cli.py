@@ -76,10 +76,12 @@ class Output:
         self.fmt = fmt
 
     def emit(self, record: dict, text: str) -> None:
+        # click.echo without a stream keeps each stream it has written to in a
+        # cache that never releases it, so every redirected stream would leak
         if self.fmt == "json":
-            click.echo(json.dumps(record, sort_keys=True))
+            click.echo(json.dumps(record, sort_keys=True), file=sys.stdout)
         else:
-            click.echo(text)
+            click.echo(text, file=sys.stdout)
 
 
 def load_algebra(spec: str, allow_empty: bool = False) -> Algebra:
@@ -150,8 +152,8 @@ def _verdict_text(verdict: Verdict) -> str:
         detail = verdict.reason
         if verdict.counter is not None:
             detail += f": fourth element {verdict.counter} has a strictly larger justification set"
-        if verdict.arrow is not None:
-            detail += f" (arrow {verdict.arrow})"
+    if verdict.arrow is not None:
+        detail += f" (arrow {verdict.arrow})"
     return f"{head} ({detail})"
 
 
@@ -159,7 +161,7 @@ algebra_option = click.option("--algebra", "algebra_spec", required=True,
                               help="preset name or finite-algebra file")
 algebra2_option = click.option("--algebra2", "algebra2_spec", default=None,
                                help="second algebra of the pair (defaults to the first)")
-k_option = click.option("--k", default=1, show_default=True,
+k_option = click.option("--k", default=1, show_default=True, type=click.IntRange(min=1),
                         help="number of distinct variables in justifications")
 l_option = click.option("--l", "ell", default=None,
                         help="occurrence bound per variable (integer or 'inf')")
@@ -511,10 +513,10 @@ def run(argv: Optional[list[str]] = None) -> int:
         main.main(args=argv, standalone_mode=False)
         return 0
     except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        click.echo(f"error: {exc.format_message()}", file=sys.stderr)
         return 2
     except INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
+        click.echo(f"error: {exc}", file=sys.stderr)
         return 2
     except click.exceptions.Exit as exc:
         return exc.exit_code

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .algebras import Algebra, FiniteAlgebra, eval_term, in_unity_set, solution_set
-from .terms import App, RewriteRule, Term, Var, canonical_rule, term_size, variables
+from .terms import App, RewriteRule, Term, Var, canonical_rule, variables
 
 
 class StateCapExceeded(Exception):
@@ -42,6 +42,10 @@ class Verdict:
     witness: Optional[RewriteRule] = None
     counter: Optional[str] = None  # a fourth element with strictly larger class set
     arrow: Optional[str] = None  # the arrow this verdict speaks about
+
+
+def _arrow_label(a: str, b: str, c: str, d: str) -> str:
+    return f"{a}->{b} :. {c}->{d}"
 
 
 class BehaviorAutomaton:
@@ -70,6 +74,7 @@ class BehaviorAutomaton:
         self.states: list[BehaviorState] = []
         self.index: dict[BehaviorState, int] = {}
         self.witnesses: list[Term] = []
+        self.sizes: list[int] = []  # term_size of each state's witness
         self.transitions: dict[tuple[str, tuple[int, ...]], int] = {}
         self._op_tables = [
             {
@@ -83,7 +88,8 @@ class BehaviorAutomaton:
         ]
         self._build()
 
-    def _add(self, state: BehaviorState, witness: Term) -> Optional[int]:
+    def _add(self, state: BehaviorState, witness: Term,
+             children: tuple[int, ...] = ()) -> Optional[int]:
         if self.ell is not None and any(n > self.ell for n in state.occ):
             return None
         got = self.index.get(state)
@@ -97,6 +103,7 @@ class BehaviorAutomaton:
         self.index[state] = idx
         self.states.append(state)
         self.witnesses.append(witness)
+        self.sizes.append(1 + sum(self.sizes[c] for c in children))
         return idx
 
     def _leaf_states(self) -> None:
@@ -129,7 +136,7 @@ class BehaviorAutomaton:
             for m in range(len(self.algebras))
         )
         witness = App(symbol, tuple(self.witnesses[c] for c in children))
-        idx = self._add(BehaviorState(tables, occ), witness)
+        idx = self._add(BehaviorState(tables, occ), witness, children)
         if idx is not None:
             self.transitions[(symbol, children)] = idx
         return idx
@@ -228,12 +235,8 @@ class FragmentDecider:
         )
 
     def _smallest_rule(self, pids: frozenset[int]) -> RewriteRule:
-        best = min(
-            pids,
-            key=lambda pid: sum(
-                term_size(self.automaton.witnesses[x]) for x in self._valid_pairs[pid]
-            ),
-        )
+        sizes, pairs = self.automaton.sizes, self._valid_pairs
+        best = min(pids, key=lambda pid: sizes[pairs[pid][0]] + sizes[pairs[pid][1]])
         return self._rule_for(best)
 
     # -- spec surface ---------------------------------------------------------
@@ -256,24 +259,22 @@ class FragmentDecider:
                 return False
         return True
 
-    def decide_arrow(self, a: str, b: str, c: str, d: str,
-                     swap: bool = False) -> Verdict:
-        """Decide ``a -> b :: c -> d`` (in the swapped pair when ``swap``)."""
-        self._build_pairs()
-        left, right = (1, 0) if swap else (0, 1)
-        label = f"{a}->{b} :. {c}->{d}"
+    def _arrow_status(self, left: int, right: int, a: str, b: str, c: str, d: str
+                      ) -> tuple[bool, str, Optional[str], frozenset[int]]:
+        """``(holds, reason, counter, shared)`` of ``a -> b`` in side ``left``
+        against ``c -> d`` in side ``right``; ``shared`` is the set of
+        non-trivial class pairs justifying both, from which a witness is chosen."""
         lhs = self._side_set(left, a, b)
         rhs = self._side_set(right, c, d)
-        if (lhs | rhs) <= self._trivial:
-            return Verdict(True, "all-trivial", arrow=label)
+        if lhs <= self._trivial and rhs <= self._trivial:
+            return True, "all-trivial", None, frozenset()
         shared = (lhs & rhs) - self._trivial
         if not shared:
-            counter = self._dominating(left, right, a, b, c)
-            return Verdict(False, "empty-intersection", counter=counter, arrow=label)
+            return False, "empty-intersection", self._dominating(left, right, a, b, c), shared
         counter = self._dominating(left, right, a, b, c, strict_over=shared)
         if counter is not None:
-            return Verdict(False, "not-maximal", counter=counter, arrow=label)
-        return Verdict(True, "maximal", witness=self._smallest_rule(shared), arrow=label)
+            return False, "not-maximal", counter, shared
+        return True, "maximal", None, shared
 
     def _dominating(self, left: int, right: int, a: str, b: str, c: str,
                     strict_over: Optional[frozenset[int]] = None) -> Optional[str]:
@@ -287,27 +288,54 @@ class FragmentDecider:
                 return d2
         return None
 
+    @staticmethod
+    def _arrows(a: str, b: str, c: str, d: str) -> tuple[tuple, ...]:
+        """The four arrows defining a : b :: c : d, as ``(left, right, a, b, c, d)``."""
+        return ((0, 1, a, b, c, d), (0, 1, b, a, d, c),
+                (1, 0, c, d, a, b), (1, 0, d, c, b, a))
+
+    def _holds(self, a: str, b: str, c: str, d: str) -> bool:
+        return all(self._arrow_status(*arrow)[0] for arrow in self._arrows(a, b, c, d))
+
+    def decide_arrow(self, a: str, b: str, c: str, d: str,
+                     swap: bool = False) -> Verdict:
+        """Decide ``a -> b :: c -> d`` (in the swapped pair when ``swap``)."""
+        self._build_pairs()
+        left, right = (1, 0) if swap else (0, 1)
+        holds, reason, counter, shared = self._arrow_status(left, right, a, b, c, d)
+        witness = self._smallest_rule(shared) if reason == "maximal" else None
+        return Verdict(holds, reason, witness=witness, counter=counter,
+                       arrow=_arrow_label(a, b, c, d))
+
     def decide_proportion(self, a: str, b: str, c: str, d: str) -> Verdict:
-        """Conjunction of the four arrow proportions defining a : b :: c : d."""
-        arrows = [
-            self.decide_arrow(a, b, c, d),
-            self.decide_arrow(b, a, d, c),
-            self.decide_arrow(c, d, a, b, swap=True),
-            self.decide_arrow(d, c, b, a, swap=True),
-        ]
-        for verdict in arrows:
-            if not verdict.holds:
-                return verdict
-        witness = next((v.witness for v in arrows if v.witness), None)
-        reason = "maximal" if any(v.reason == "maximal" for v in arrows) else "all-trivial"
-        return Verdict(True, reason, witness=witness)
+        """Conjunction of the four arrow proportions defining a : b :: c : d.
+
+        A failing verdict names its arrow.  A holding verdict carries the
+        witness of the first maximal arrow, and names that arrow when it is
+        not ``a -> b :: c -> d`` itself.
+        """
+        self._build_pairs()
+        first_maximal = None
+        for n, (left, right, *quad) in enumerate(self._arrows(a, b, c, d)):
+            holds, reason, counter, shared = self._arrow_status(left, right, *quad)
+            if not holds:
+                return Verdict(False, reason, counter=counter, arrow=_arrow_label(*quad))
+            if reason == "maximal" and first_maximal is None:
+                first_maximal = (n, quad, shared)
+        if first_maximal is None:
+            return Verdict(True, "all-trivial")
+        n, quad, shared = first_maximal
+        return Verdict(True, "maximal", witness=self._smallest_rule(shared),
+                       arrow=_arrow_label(*quad) if n else None)
 
     def solve(self, a: str, b: str, c: str) -> list[str]:
         """All d with a : b :: c : d, in carrier order of the second algebra."""
-        return [d for d in self._carrier(1) if self.decide_proportion(a, b, c, d).holds]
+        self._build_pairs()
+        return [d for d in self._carrier(1) if self._holds(a, b, c, d)]
 
     def enumerate_all(self) -> list[tuple[str, str, str, str]]:
         """Every holding quadruple over the carrier pair."""
+        self._build_pairs()
         first, second = self._carrier(0), self._carrier(1)
         return [
             (a, b, c, d)
@@ -315,7 +343,7 @@ class FragmentDecider:
             for b in first
             for c in second
             for d in second
-            if self.decide_proportion(a, b, c, d).holds
+            if self._holds(a, b, c, d)
         ]
 
     @property

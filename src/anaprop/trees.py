@@ -20,6 +20,7 @@ from .terms import (
     canonical_term,
     fresh_renaming,
     generalizes,
+    replace_at,
     substitute,
     subterm_at,
     variables,
@@ -172,18 +173,9 @@ def generalization_filter(w: Term) -> set[Term]:
                     n += 1
                     v = Var(f"_g{n}")
                     for pos in block:
-                        term = _replace(term, pos, v)
+                        term = replace_at(term, pos, v)
             out.add(canonical_term(term))
     return out
-
-
-def _replace(term: Term, pos: Position, replacement: Term) -> Term:
-    if not pos:
-        return replacement
-    assert isinstance(term, App)
-    args = list(term.args)
-    args[pos[0]] = _replace(args[pos[0]], pos[1:], replacement)
-    return App(term.symbol, tuple(args))
 
 
 def inverse_image(q: Term, assignment: dict[str, Term]) -> set[Term]:

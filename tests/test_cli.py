@@ -1,4 +1,8 @@
+import contextlib
+import gc
+import io
 import json
+import weakref
 
 import pytest
 
@@ -97,6 +101,23 @@ class TestDecide:
         )
         assert status == 2
         assert "monolinear" in err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_k_below_one_is_a_usage_error(self, capsys, a2_path, k):
+        status, out, err = invoke(
+            capsys, "decide", "a", "b", "c", "d", "--algebra", a2_path, "--k", k
+        )
+        assert status == 2
+        assert out == ""
+        assert "--k" in err and "x>=1" in err
+
+    def test_witness_of_another_arrow_is_named(self, capsys, tmp_path):
+        path = tmp_path / "c.json"
+        save_finite_algebra(FiniteAlgebra(name="C", carrier=("e0", "e1", "e2"),
+                                          constants={"c0": "e2", "c1": "e1"}), str(path))
+        status, out, _ = invoke(capsys, "decide", "e1", "e0", "e1", "e0", "--algebra", str(path))
+        assert status == 0
+        assert out.strip() == "holds (maximal; witness: x1 -> c1 (arrow e0->e1 :. e0->e1))"
 
 
 class TestSolve:
@@ -285,3 +306,22 @@ class TestLoadAlgebra:
         sig.write_text('{"symbols": {"f": 1, "a": 0}}')
         alg = load_algebra("term:" + str(sig))
         assert alg.signature.rank("f") == 1
+
+
+class TestRedirectedStreams:
+    def test_streams_are_released(self, a2_path):
+        # a caller capturing output through redirected streams must get them
+        # back: nothing in run may keep one alive
+        calls = [["lgg", "f(a,a)", "f(a,b)"],
+                 ["decide", "1", "2", "3", "4", "--algebra", "zmult"],
+                 ["decide", "a", "b", "c", "d", "--algebra", a2_path, "--k", "0"]]
+        refs = []
+        for n in range(200):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                run(calls[n % len(calls)])
+            assert out.getvalue() or err.getvalue()
+            refs += [weakref.ref(out), weakref.ref(err)]
+            del out, err
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []

@@ -1,12 +1,15 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from anaprop.algebras import (
     FiniteAlgebra,
     IntAddition,
     NaturalMultiplication,
     WordConcatenation,
+    eval_term,
     parse_word_pattern,
 )
 from anaprop.decider import (
@@ -18,7 +21,7 @@ from anaprop.decider import (
     verify_characteristic,
 )
 from anaprop.oracle import OracleBudgetExceeded, OracleUniverse, enumerate_terms, oracle_justifications
-from anaprop.terms import App, RewriteRule, Var, parse_rule, parse_term
+from anaprop.terms import App, RewriteRule, Var, parse_rule, parse_term, term_size
 from tests.strategies import random_algebra_pair
 
 
@@ -190,6 +193,85 @@ class TestVerdictWitness:
         verdict = dec.decide_proportion("a", "b", "e", "f")
         assert verdict.witness is not None
         assert verify_characteristic(verdict.witness, "a", "b", "e", "f", source, target)
+
+    def test_witness_of_another_arrow_names_it(self):
+        # a -> b :: c -> d holds only vacuously here (no non-trivial class pair
+        # sends e1 to e0), so the witness comes from b -> a :: d -> c
+        alg = FiniteAlgebra(name="C", carrier=("e0", "e1", "e2"),
+                            constants={"c0": "e2", "c1": "e1"})
+        dec = FragmentDecider(alg, k=1)
+        verdict = dec.decide_proportion("e1", "e0", "e1", "e0")
+        assert (verdict.holds, verdict.reason) == (True, "maximal")
+        assert str(verdict.witness) == "x1 -> c1"
+        assert verdict.arrow == "e0->e1 :. e0->e1"
+        images = {(eval_term(verdict.witness.lhs, {"x1": x}, alg),
+                   eval_term(verdict.witness.rhs, {"x1": x}, alg)) for x in alg.carrier}
+        assert ("e0", "e1") in images  # justifies e0 -> e1, the named arrow
+        assert ("e1", "e0") not in images  # and not e1 -> e0
+
+    def test_witness_of_the_proportion_arrow_is_unnamed(self):
+        source, target, _ = hom_pair()
+        verdict = FragmentDecider(source, target, k=1).decide_proportion("a", "b", "e", "f")
+        assert verdict.witness is not None and verdict.arrow is None
+
+
+def _quads(dec):
+    first, second = dec.automaton.algebras[0], dec.automaton.algebras[-1]
+    return list(itertools.product(first.carrier, first.carrier,
+                                  second.carrier, second.carrier))
+
+
+def _random_decider(seed):
+    rng = random.Random(seed)
+    first, second = random_algebra_pair(rng, max_size=3)
+    try:
+        return FragmentDecider(first, second, k=rng.choice([1, 2]),
+                               ell=rng.choice([1, None]), cap=40)
+    except StateCapExceeded:
+        return None
+
+
+class TestBatchAgreesWithDecide:
+    """solve and enumerate_all skip the witnesses; their answers must not change."""
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_solve_and_enumerate_filter_decide(self, seed):
+        dec = _random_decider(seed)
+        if dec is None:
+            return
+        holding = [q for q in _quads(dec) if dec.decide_proportion(*q).holds]
+        assert dec.enumerate_all() == holding
+        first, second = dec.automaton.algebras[0], dec.automaton.algebras[-1]
+        for a, b, c in itertools.product(first.carrier, first.carrier, second.carrier):
+            assert dec.solve(a, b, c) == [d for d in second.carrier
+                                          if (a, b, c, d) in holding]
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_maximal_witness_is_smallest(self, seed):
+        dec = _random_decider(seed)
+        if dec is None:
+            return
+        auto = dec.automaton
+
+        def size(state):
+            return term_size(auto.witnesses[auto.index[state]])
+
+        for a, b, c, d in _quads(dec):
+            for quad in ((a, b, c, d), (b, a, d, c)):
+                verdict = dec.decide_arrow(*quad)
+                if verdict.reason != "maximal":
+                    continue
+                least = min(size(s) + size(t) for s, t in dec.justification_classes(*quad)
+                            if not dec.is_trivial_pair(s, t))
+                assert term_size(verdict.witness.lhs) + term_size(verdict.witness.rhs) == least
+            # decide_proportion's witness is the one of the arrow it names
+            proportion = dec.decide_proportion(a, b, c, d)
+            inner = f"{b}->{a} :. {d}->{c}"
+            if proportion.witness is not None and proportion.arrow in (None, inner):
+                named = (a, b, c, d) if proportion.arrow is None else (b, a, d, c)
+                assert proportion.witness == dec.decide_arrow(*named).witness
 
 
 class TestOracleEnumeration:
