@@ -54,9 +54,14 @@ def monomial(coeff: int, *exps: int) -> Monomial:
 
 def monomial_term(m: Monomial) -> Term:
     """The monomial as a term over {*, constants}, variables x1, x2, ..."""
-    factors: list[Term] = [App(str(m.coeff))] if m.coeff != 1 else []
-    for i, e in enumerate(m.exps, start=1):
-        factors.extend([Var(f"x{i}")] * e)
+    return monomial_over(m.coeff, {f"x{i}": e for i, e in enumerate(m.exps, start=1)})
+
+
+def monomial_over(coeff: int, exps: dict[str, int]) -> Term:
+    """The term coeff * v1^e1 * ... as nested products, variables in the order of ``exps``."""
+    factors: list[Term] = [App(str(coeff))] if coeff != 1 else []
+    for name, e in exps.items():
+        factors.extend([Var(name)] * e)
     if not factors:
         raise ValueError("empty monomial")
     out = factors[-1]

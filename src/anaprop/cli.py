@@ -6,6 +6,12 @@ nmul, word:<alphabet>, term:<sigfile>) or by a finite-algebra JSON file.
 Output is plain text by default; ``--format json`` emits one JSON record per
 line.  Exit status is 0 for every successfully executed query regardless of
 the verdict, and 2 for input errors.
+
+decide and solve take their engine from the algebra: behavior automata over
+finite algebras (``--engine auto``, or ``oracle`` for the brute-force oracle),
+the full-framework rule search for solve over nmul without ``--l 1``, and
+otherwise the closed forms of the monolinear fragment, where a left-out
+``--l`` means 1 and ``--l inf`` is an input error.
 """
 from __future__ import annotations
 
@@ -42,7 +48,6 @@ from .closedform import (
 from .decider import (
     FragmentDecider,
     StateCapExceeded,
-    Verdict,
     natural_solve,
     verify_characteristic,
 )
@@ -69,6 +74,8 @@ INPUT_ERRORS = (
     OracleBudgetExceeded,
     OSError,
 )
+
+CLOSED_FORM = "closed form"
 
 
 class Output:
@@ -119,44 +126,6 @@ def _parse_ell(value: Optional[str]) -> Optional[int]:
     return n
 
 
-def _require_monolinear(k: int, ell: Optional[int], what: str) -> None:
-    if k != 1 or ell != 1:
-        raise ValueError(
-            f"{what} over this algebra is implemented for the monolinear "
-            f"fragment only; pass --k 1 --l 1"
-        )
-
-
-def _verdict_record(command: str, verdict: Verdict, extra: Optional[dict] = None) -> dict:
-    record = {
-        "command": command,
-        "holds": verdict.holds,
-        "reason": verdict.reason,
-        "witness": str(verdict.witness) if verdict.witness else None,
-        "counter": verdict.counter,
-        "arrow": verdict.arrow,
-    }
-    if extra:
-        record.update(extra)
-    return record
-
-
-def _verdict_text(verdict: Verdict) -> str:
-    if verdict.holds:
-        head = "holds"
-        detail = verdict.reason
-        if verdict.witness is not None:
-            detail += f"; witness: {verdict.witness}"
-    else:
-        head = "does not hold"
-        detail = verdict.reason
-        if verdict.counter is not None:
-            detail += f": fourth element {verdict.counter} has a strictly larger justification set"
-    if verdict.arrow is not None:
-        detail += f" (arrow {verdict.arrow})"
-    return f"{head} ({detail})"
-
-
 algebra_option = click.option("--algebra", "algebra_spec", required=True,
                               help="preset name or finite-algebra file")
 algebra2_option = click.option("--algebra2", "algebra2_spec", default=None,
@@ -166,7 +135,7 @@ k_option = click.option("--k", default=1, show_default=True, type=click.IntRange
 l_option = click.option("--l", "ell", default=None,
                         help="occurrence bound per variable (integer or 'inf')")
 engine_option = click.option("--engine", default="auto", show_default=True,
-                             type=click.Choice(["auto", "closed-form", "automata", "oracle"]))
+                             type=click.Choice(["auto", "oracle"]))
 depth_option = click.option("--depth", default=None, type=int,
                             help="term depth for the oracle engine (default: exactness bound)")
 cap_option = click.option("--cap", default=10 ** 6, show_default=True,
@@ -186,16 +155,6 @@ def main(ctx: click.Context, fmt: str) -> None:
     ctx.obj = Output(fmt)
 
 
-def _finite_engines(first: FiniteAlgebra, second: Optional[FiniteAlgebra],
-                    k: int, ell: Optional[int], engine: str, depth: Optional[int],
-                    cap: int):
-    decider = FragmentDecider(first, second, k=k, ell=ell, cap=cap)
-    if engine == "oracle":
-        depth = depth if depth is not None else decider.state_count
-        return OracleUniverse(first, second, k=k, ell=ell, depth=depth)
-    return decider
-
-
 def _load_pair(spec1: str, spec2: Optional[str], allow_empty: bool):
     first = load_algebra(spec1, allow_empty)
     second = load_algebra(spec2, allow_empty) if spec2 else None
@@ -204,167 +163,145 @@ def _load_pair(spec1: str, spec2: Optional[str], allow_empty: bool):
     return first, second
 
 
+def _resolve(command: str, first: Algebra, second: Optional[Algebra], k: int,
+             ell: Optional[str], engine: str, depth: Optional[int], cap: int):
+    """The engine that answers ``command`` over the algebra pair.
+
+    A FragmentDecider or an OracleUniverse over finite algebras,
+    ``natural_solve`` for the full framework of ``solve`` over nmul, and
+    CLOSED_FORM for the monolinear fragment over the other built-in
+    algebras, where a left-out ``--l`` means 1 and ``--l inf`` is refused.
+    """
+    bound = _parse_ell(ell)
+    if first.is_finite:
+        decider = FragmentDecider(first, second, k=k, ell=bound, cap=cap)
+        if engine == "oracle":
+            depth = depth if depth is not None else decider.state_count
+            return OracleUniverse(first, second, k=k, ell=bound, depth=depth)
+        return decider
+    if engine == "oracle":
+        raise ValueError(f"engine {engine!r} requires a finite algebra")
+    if command == "solve" and isinstance(first, NaturalMultiplication) and bound is None:
+        return natural_solve
+    verb, tree_command = {"decide": ("deciding", "check-tree"),
+                          "solve": ("solving", "solve-tree")}[command]
+    if k != 1 or (ell is not None and bound != 1):
+        raise ValueError(
+            f"{verb} over this algebra is implemented for the monolinear "
+            f"fragment only; pass --k 1 --l 1"
+        )
+    if isinstance(first, TermAlgebra):
+        raise ValueError(f"{verb} over the term algebra: use {tree_command} instead")
+    return CLOSED_FORM
+
+
+def _parse_elements(first: Algebra, second: Optional[Algebra], texts, tokens: bool) -> list:
+    """Parse a and b over the first algebra, c and d over the second (default: the first)."""
+    if tokens and isinstance(first, WordConcatenation):
+        texts = [text.replace(" ", "") for text in texts]
+    target = second if second is not None else first
+    return [(first if i < 2 else target).parse_element(text) for i, text in enumerate(texts)]
+
+
+def _mul_domain(algebra: Algebra) -> str:
+    return "n2" if isinstance(algebra, NaturalMultiplication) else "q"
+
+
+def _decision(eng, algebra: Algebra, a, b, c, d) -> tuple[bool, dict, str]:
+    """Whether a : b :: c : d holds, the record's other fields and the text detail."""
+    if eng != CLOSED_FORM:
+        decide = eng.decide if isinstance(eng, OracleUniverse) else eng.decide_proportion
+        verdict = decide(a, b, c, d)
+        detail = verdict.reason
+        if verdict.holds and verdict.witness is not None:
+            detail += f"; witness: {verdict.witness}"
+        elif not verdict.holds and verdict.counter is not None:
+            detail += f": fourth element {verdict.counter} has a strictly larger justification set"
+        if verdict.arrow is not None:
+            detail += f" (arrow {verdict.arrow})"
+        return verdict.holds, {
+            "reason": verdict.reason,
+            "witness": str(verdict.witness) if verdict.witness else None,
+            "counter": verdict.counter,
+            "arrow": verdict.arrow,
+        }, detail
+    if isinstance(algebra, IntAddition):
+        holds = decide_mono_add(a, b, c, d)
+        rel = f"{a}-{b} {'=' if holds else '!='} {c}-{d}"
+        return holds, {"relation": "difference", "detail": rel}, f"difference proportion: {rel}"
+    if isinstance(algebra, WordConcatenation):
+        split = decide_mono_word(a, b, c, d)
+        if split is None:
+            return False, {"relation": "word", "witness": None}, "no aligned factorization"
+        parts = [split.a1, split.a2, split.a3, split.b1, split.b2, split.b3]
+        shown = "|".join(parts[:3]) + " ~ " + "|".join(parts[3:])
+        return True, {"relation": "word", "witness": parts}, f"factorization {shown}"
+    holds = decide_mono_mul(a, b, c, d, domain=_mul_domain(algebra))
+    rel = f"{a}:{b} vs {c}:{d}"
+    return holds, {"relation": "geometric", "detail": rel}, f"geometric proportion: {rel}"
+
+
+def _solutions(eng, algebra: Algebra, a, b, c) -> tuple[list, Optional[dict]]:
+    """The solutions d of a : b :: c : d and, when the engine gives them, their witnesses."""
+    if eng is natural_solve:
+        found = eng(a, b, c)
+        return sorted(found), {str(d): sorted(str(r) for r in found[d]) for d in found}
+    if eng != CLOSED_FORM:
+        return list(eng.solve(a, b, c)), None
+    if isinstance(algebra, IntAddition):
+        d = solve_mono_add(a, b, c)
+        return [d], {str(d): [str(mono_add_rule(a, b))]}
+    if isinstance(algebra, WordConcatenation):
+        return [d if d else "%e" for d in solve_mono_word(a, b, c)], None
+    return sorted(str(d) for d in solve_mono_mul(a, b, c, domain=_mul_domain(algebra))), None
+
+
+def _query_options(command):
+    """The options shared by decide and solve."""
+    for option in reversed([algebra_option, algebra2_option, k_option, l_option, engine_option,
+                            depth_option, cap_option, tokens_option, allow_empty_option,
+                            click.pass_obj]):
+        command = option(command)
+    return command
+
+
 @main.command()
 @click.argument("a")
 @click.argument("b")
 @click.argument("c")
 @click.argument("d")
-@algebra_option
-@algebra2_option
-@k_option
-@l_option
-@engine_option
-@depth_option
-@cap_option
-@tokens_option
-@allow_empty_option
-@click.pass_obj
+@_query_options
 def decide(out: Output, a: str, b: str, c: str, d: str, algebra_spec: str,
            algebra2_spec: Optional[str], k: int, ell: Optional[str], engine: str,
            depth: Optional[int], cap: int, tokens: bool, allow_empty: bool) -> None:
     """Decide whether A : B :: C : D holds."""
     first, second = _load_pair(algebra_spec, algebra2_spec, allow_empty)
-    bound = _parse_ell(ell)
-    if isinstance(first, FiniteAlgebra):
-        if engine == "closed-form":
-            raise ValueError("the closed-form engine applies to builtin number/word algebras")
-        eng = _finite_engines(first, second, k, bound, engine, depth, cap)
-        elems = [first.parse_element(a), first.parse_element(b)]
-        target = second if second is not None else first
-        elems += [target.parse_element(c), target.parse_element(d)]
-        verdict = (
-            eng.decide(*elems) if isinstance(eng, OracleUniverse)
-            else eng.decide_proportion(*elems)
-        )
-        out.emit(_verdict_record("decide", verdict), _verdict_text(verdict))
-        return
-    if engine in ("automata", "oracle"):
-        raise ValueError(f"engine {engine!r} requires a finite algebra")
-    if bound is None:
-        bound = 1
-    _require_monolinear(k, bound, "deciding")
-    if isinstance(first, IntAddition):
-        va, vb, vc, vd = (first.parse_element(x) for x in (a, b, c, d))
-        holds = decide_mono_add(va, vb, vc, vd)
-        rel = f"{va}-{vb} {'=' if holds else '!='} {vc}-{vd}"
-        out.emit(
-            {"command": "decide", "holds": holds, "relation": "difference", "detail": rel},
-            f"{'holds' if holds else 'does not hold'} (difference proportion: {rel})",
-        )
-    elif isinstance(first, (RationalMultiplication, NaturalMultiplication)):
-        domain = "n2" if isinstance(first, NaturalMultiplication) else "q"
-        va, vb, vc, vd = (first.parse_element(x) for x in (a, b, c, d))
-        holds = decide_mono_mul(va, vb, vc, vd, domain=domain)
-        rel = f"{va}:{vb} vs {vc}:{vd}"
-        out.emit(
-            {"command": "decide", "holds": holds, "relation": "geometric", "detail": rel},
-            f"{'holds' if holds else 'does not hold'} (geometric proportion: {rel})",
-        )
-    elif isinstance(first, WordConcatenation):
-        words = [_read_word(first, x, tokens) for x in (a, b, c, d)]
-        split = decide_mono_word(*words)
-        if split is None:
-            out.emit(
-                {"command": "decide", "holds": False, "relation": "word", "witness": None},
-                "does not hold (no aligned factorization)",
-            )
-        else:
-            shown = "|".join([split.a1, split.a2, split.a3]) + " ~ " + "|".join(
-                [split.b1, split.b2, split.b3]
-            )
-            out.emit(
-                {"command": "decide", "holds": True, "relation": "word",
-                 "witness": [split.a1, split.a2, split.a3, split.b1, split.b2, split.b3]},
-                f"holds (factorization {shown})",
-            )
-    else:
-        raise ValueError("deciding over the term algebra: use check-tree instead")
-
-
-def _read_word(algebra: WordConcatenation, text: str, tokens: bool) -> str:
-    if tokens:
-        text = text.replace(" ", "")
-    return algebra.parse_element(text if text else "%e")
+    eng = _resolve("decide", first, second, k, ell, engine, depth, cap)
+    elems = _parse_elements(first, second, (a, b, c, d), tokens)
+    holds, fields, detail = _decision(eng, first, *elems)
+    out.emit({"command": "decide", "holds": holds, **fields},
+             f"{'holds' if holds else 'does not hold'} ({detail})")
 
 
 @main.command()
 @click.argument("a")
 @click.argument("b")
 @click.argument("c")
-@algebra_option
-@algebra2_option
-@k_option
-@l_option
-@engine_option
-@depth_option
-@cap_option
-@tokens_option
-@allow_empty_option
-@click.pass_obj
+@_query_options
 def solve(out: Output, a: str, b: str, c: str, algebra_spec: str,
           algebra2_spec: Optional[str], k: int, ell: Optional[str], engine: str,
           depth: Optional[int], cap: int, tokens: bool, allow_empty: bool) -> None:
     """Solve A : B :: C : x, printing every solution."""
     first, second = _load_pair(algebra_spec, algebra2_spec, allow_empty)
-    bound = _parse_ell(ell)
-    if isinstance(first, FiniteAlgebra):
-        eng = _finite_engines(first, second, k, bound, engine, depth, cap)
-        target = second if second is not None else first
-        elems = [first.parse_element(a), first.parse_element(b), target.parse_element(c)]
-        solutions = eng.solve(*elems)
-        out.emit(
-            {"command": "solve", "solutions": list(solutions)},
-            "{" + ", ".join(solutions) + "}",
-        )
-        return
-    if engine in ("automata", "oracle"):
-        raise ValueError(f"engine {engine!r} requires a finite algebra")
-    if isinstance(first, NaturalMultiplication) and bound is None and engine == "auto":
-        va, vb, vc = (first.parse_element(x) for x in (a, b, c))
-        found = natural_solve(va, vb, vc)
-        lines = ["{" + ", ".join(str(d) for d in sorted(found)) + "}"]
-        for d in sorted(found):
-            for rule in sorted(str(r) for r in found[d]):
-                lines.append(f"witness for {d}: {rule}")
-        out.emit(
-            {
-                "command": "solve",
-                "solutions": sorted(found),
-                "witnesses": {str(d): sorted(str(r) for r in found[d]) for d in found},
-            },
-            "\n".join(lines),
-        )
-        return
-    if bound is None:
-        bound = 1
-    _require_monolinear(k, bound, "solving")
-    if isinstance(first, IntAddition):
-        va, vb, vc = (first.parse_element(x) for x in (a, b, c))
-        d = solve_mono_add(va, vb, vc)
-        rule = mono_add_rule(va, vb)
-        out.emit(
-            {"command": "solve", "solutions": [d], "witnesses": {str(d): [str(rule)]}},
-            f"{{{d}}}\nwitness for {d}: {rule}",
-        )
-    elif isinstance(first, (RationalMultiplication, NaturalMultiplication)):
-        domain = "n2" if isinstance(first, NaturalMultiplication) else "q"
-        va, vb, vc = (first.parse_element(x) for x in (a, b, c))
-        ds = solve_mono_mul(va, vb, vc, domain=domain)
-        rendered = sorted(str(d) for d in ds)
-        out.emit(
-            {"command": "solve", "solutions": rendered},
-            "{" + ", ".join(rendered) + "}",
-        )
-    elif isinstance(first, WordConcatenation):
-        words = [_read_word(first, x, tokens) for x in (a, b, c)]
-        ds = solve_mono_word(*words)
-        shown = [d if d else "%e" for d in ds]
-        out.emit(
-            {"command": "solve", "solutions": shown},
-            "{" + ", ".join(shown) + "}",
-        )
-    else:
-        raise ValueError("solving over the term algebra: use solve-tree instead")
+    eng = _resolve("solve", first, second, k, ell, engine, depth, cap)
+    elems = _parse_elements(first, second, (a, b, c), tokens)
+    solutions, witnesses = _solutions(eng, first, *elems)
+    record = {"command": "solve", "solutions": solutions}
+    lines = ["{" + ", ".join(str(d) for d in solutions) + "}"]
+    if witnesses is not None:
+        record["witnesses"] = witnesses
+        lines += [f"witness for {d}: {rule}" for d in solutions for rule in witnesses[str(d)]]
+    out.emit(record, "\n".join(lines))
 
 
 @main.command(name="enumerate")
@@ -486,21 +423,16 @@ def check_rule_command(out: Output, rule: str, a: str, b: str, c: str, d: str,
                        tokens: bool, allow_empty: bool) -> None:
     """Verify a rewrite rule as a characteristic justification of A->B :: C->D."""
     first, second = _load_pair(algebra_spec, algebra2_spec, allow_empty)
-    target = second if second is not None else first
     if isinstance(first, WordConcatenation):
         lhs_text, rhs_text = rule.split("->")
         parsed = RewriteRule(
             parse_word_pattern(first, lhs_text.strip(), tokens),
             parse_word_pattern(first, rhs_text.strip(), tokens),
         )
-        elems = [_read_word(first, x, tokens) for x in (a, b, c, d)]
     else:
         parsed = parse_rule(rule)
-        elems = [
-            first.parse_element(a), first.parse_element(b),
-            target.parse_element(c), target.parse_element(d),
-        ]
-    ok = verify_characteristic(parsed, *elems, first, target, full=full)
+    elems = _parse_elements(first, second, (a, b, c, d), tokens)
+    ok = verify_characteristic(parsed, *elems, first, second, full=full)
     out.emit(
         {"command": "check-rule", "characteristic": ok, "rule": str(parsed)},
         f"{'characteristic justification' if ok else 'not verified as characteristic'}: {parsed}",

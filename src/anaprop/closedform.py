@@ -38,16 +38,10 @@ def mono_add_rule(a: int, b: int) -> RewriteRule:
     return RewriteRule(Var("x1"), App("+", (Var("x1"), App(str(b - a)))))
 
 
-def decide_sy_add(a: int, b: int, c: int, d: int) -> bool:
-    """Additive four-way factorization a=k+o, b=l+o, c=k+u, d=l+u.
-
-    The existential has a canonical witness with o = 0, which this constructs
-    and checks directly.
-    """
-    k, o = a, 0
-    l = b - o
-    u = c - k
-    return (k + o, l + o, k + u, l + u) == (a, b, c, d)
+# The additive four-way factorization a=k+o, b=l+o, c=k+u, d=l+u has the
+# canonical witness o = 0, k = a, l = b, u = c - a, so it holds exactly when
+# d = b + c - a: the difference proportion.
+decide_sy_add = decide_mono_add
 
 
 # ---------------------------------------------------------------------------

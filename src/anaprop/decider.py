@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .algebras import Algebra, FiniteAlgebra, eval_term, in_unity_set, solution_set
+from .antiunify import monomial_over, monomial_term
 from .terms import App, RewriteRule, Term, Var, canonical_rule, variables
 
 
@@ -407,7 +408,7 @@ def natural_solve(a: int, b: int, c: int, max_vars: int = 2
         if not 1 <= mono.nvars <= max_vars:
             continue
         names = [f"x{i + 1}" for i in range(mono.nvars)]
-        lhs = _monomial_over(mono.coeff, dict(zip(names, mono.exps)))
+        lhs = monomial_term(mono)
         sols_c = solution_set(lhs, c, nmul)
         if len(sols_c) != 1:
             continue
@@ -420,23 +421,13 @@ def natural_solve(a: int, b: int, c: int, max_vars: int = 2
     return out
 
 
-def _monomial_over(coeff: int, exps: dict[str, int]) -> Term:
-    factors: list[Term] = [App(str(coeff))] if coeff != 1 else []
-    for name in sorted(exps):
-        factors.extend([Var(name)] * exps[name])
-    out = factors[-1]
-    for t in reversed(factors[:-1]):
-        out = App("*", (t, out))
-    return out
-
-
 def _monomial_rhs_candidates(b: int, assignment: dict[str, int],
                              names: list[str]) -> Iterator[Term]:
     """Monomials over all of ``names`` whose value at ``assignment`` is b."""
     def build(i: int, rest: int, exps: dict[str, int]):
         if i == len(names):
             if rest >= 1:
-                yield _monomial_over(rest, dict(exps))
+                yield monomial_over(rest, exps)
             return
         name = names[i]
         value = assignment[name]

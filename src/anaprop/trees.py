@@ -86,6 +86,16 @@ def fresh_vars(context: Iterable[Term], term: Term) -> set[str]:
     return out
 
 
+def _fresh_pair(p: Term, q: Term, r: Term, u: Term) -> tuple[set[str], set[str]]:
+    """Fresh variables of lgg(p, r) and of lgg(q, u) under one pair-variable map."""
+    chi = ChiMap()
+    context = [p, q, r, u]
+    chi.reserve(context)
+    left = lgg(p, r, chi)
+    right = lgg(q, u, chi)
+    return fresh_vars(context, left), fresh_vars(context, right)
+
+
 def check_tree_arrow(p: Term, q: Term, r: Term, u: Term) -> bool:
     """Sufficient condition for the arrow proportion ``p -> q :: r -> u``.
 
@@ -93,22 +103,14 @@ def check_tree_arrow(p: Term, q: Term, r: Term, u: Term) -> bool:
     pair-variable map.  True establishes the arrow; False means the arrow is
     not established by this check, not that it is refuted.
     """
-    chi = ChiMap()
-    context = [p, q, r, u]
-    chi.reserve(context)
-    left = lgg(p, r, chi)
-    right = lgg(q, u, chi)
-    return fresh_vars(context, right) <= fresh_vars(context, left)
+    left, right = _fresh_pair(p, q, r, u)
+    return right <= left
 
 
 def check_tree_proportion(p: Term, q: Term, r: Term, u: Term) -> bool:
     """Sufficient condition for the full proportion ``p : q :: r : u``."""
-    chi = ChiMap()
-    context = [p, q, r, u]
-    chi.reserve(context)
-    left = lgg(p, r, chi)
-    right = lgg(q, u, chi)
-    return fresh_vars(context, right) == fresh_vars(context, left)
+    left, right = _fresh_pair(p, q, r, u)
+    return right == left
 
 
 def unique_match(pattern: Term, instance: Term) -> dict[str, Term]:

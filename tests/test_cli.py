@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from anaprop.algebras import FiniteAlgebra, algebra_to_json, save_finite_algebra
-from anaprop.cli import load_algebra, run
+from anaprop.cli import load_algebra, main, run
 from anaprop.algebras import IntAddition, NaturalMultiplication, WordConcatenation
 
 
@@ -64,7 +64,7 @@ class TestDecide:
         for quad in [("a", "b", "c", "d"), ("a", "b", "a", "b"), ("a", "a", "c", "c"),
                      ("a", "a", "a", "d")]:
             verdicts = []
-            for engine in ["auto", "automata", "oracle"]:
+            for engine in ["auto", "oracle"]:
                 _, out, _ = invoke(
                     capsys, "decide", *quad, "--algebra", a2_path, "--engine", engine
                 )
@@ -102,6 +102,28 @@ class TestDecide:
         assert status == 2
         assert "monolinear" in err
 
+    @pytest.mark.parametrize("engine", ["automata", "closed-form"])
+    def test_alias_engines_are_usage_errors(self, capsys, a2_path, engine):
+        for argv in (["decide", "a", "b", "c", "d", "--algebra", a2_path],
+                     ["solve", "a", "b", "c", "--algebra", a2_path],
+                     ["decide", "4", "5", "0", "1", "--algebra", "zplus"]):
+            status, out, err = invoke(capsys, *argv, "--engine", engine)
+            assert status == 2, argv
+            assert out == ""
+            assert "Invalid value for '--engine'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "4", "5", "0", "1", "--algebra", "zplus"],
+        ["solve", "2", "4", "3", "--algebra", "qmul"],
+        ["solve", "ab", "b", "a", "--algebra", "word:ab"],
+        ["decide", "20", "4", "30", "6", "--algebra", "nmul"],
+    ])
+    def test_unbounded_occurrences_over_a_closed_form_rejected(self, capsys, argv):
+        status, out, err = invoke(capsys, *argv, "--l", "inf")
+        assert status == 2
+        assert out == ""
+        assert "monolinear fragment only" in err
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_is_a_usage_error(self, capsys, a2_path, k):
         status, out, err = invoke(
@@ -128,6 +150,10 @@ class TestSolve:
         assert lines[0] == "{6, 9}"
         assert any("*(10,x1) -> *(2,x1)" in line for line in lines)
         assert any("*(10,x1) -> *(x1,x1)" in line for line in lines)
+
+    def test_nmul_unbounded_occurrences_run_the_full_framework(self, capsys):
+        assert (invoke(capsys, "solve", "20", "4", "30", "--algebra", "nmul", "--l", "inf")
+                == invoke(capsys, "solve", "20", "4", "30", "--algebra", "nmul"))
 
     def test_nmul_monolinear(self, capsys):
         status, out, _ = invoke(
@@ -278,6 +304,90 @@ class TestJsonFormat:
             assert status == 0, argv
             for record in records(out):
                 assert "command" in record
+
+
+@pytest.fixture()
+def golden_paths(tmp_path, a2_path):
+    paths = {"a2": a2_path}
+    for name, alg in [
+        ("c", FiniteAlgebra(name="C", carrier=("e0", "e1", "e2"),
+                            constants={"c0": "e2", "c1": "e1"})),
+        ("s", FiniteAlgebra(name="S", carrier=("a", "b", "c", "d"),
+                            ops={"g": {("a",): "b", ("b",): "b", ("c",): "d", ("d",): "d"}})),
+        ("t", FiniteAlgebra(name="T", carrier=("p", "q"),
+                            ops={"g": {("p",): "q", ("q",): "q"}})),
+    ]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_finite_algebra(alg, paths[name])
+    return paths
+
+
+# one call per engine branch of decide and solve: (argv, text stdout, JSON keys);
+# "{name}" stands for the path of a golden_paths algebra
+DECISION_KEYS = {"command", "holds", "reason", "witness", "counter", "arrow"}
+GOLDEN = [
+    (["decide", "4", "5", "0", "1", "--algebra", "zplus"],
+     "holds (difference proportion: 4-5 = 0-1)", {"command", "holds", "relation", "detail"}),
+    (["decide", "2", "4", "3", "6", "--algebra", "zplus"],
+     "does not hold (difference proportion: 2-4 != 3-6)",
+     {"command", "holds", "relation", "detail"}),
+    (["decide", "1/2", "1", "3", "6", "--algebra", "qmul"],
+     "holds (geometric proportion: 1/2:1 vs 3:6)", {"command", "holds", "relation", "detail"}),
+    (["decide", "20", "4", "30", "6", "--algebra", "nmul"],
+     "holds (geometric proportion: 20:4 vs 30:6)", {"command", "holds", "relation", "detail"}),
+    (["decide", "ab", "b", "aab", "ab", "--algebra", "word:ab"],
+     "holds (factorization ||ab ~ |a|b)", {"command", "holds", "relation", "witness"}),
+    (["decide", "ab", "ba", "ba", "ab", "--algebra", "word:ab"],
+     "does not hold (no aligned factorization)", {"command", "holds", "relation", "witness"}),
+    (["decide", "a", "a", "a", "a", "--algebra", "{a2}"],
+     "holds (maximal; witness: x1 -> x1)", DECISION_KEYS),
+    (["decide", "a", "b", "b", "b", "--algebra", "{a2}"],
+     "does not hold (not-maximal: fourth element b has a strictly larger justification set"
+     " (arrow b->b :. b->a))", DECISION_KEYS),
+    (["decide", "a", "a", "a", "b", "--algebra", "{a2}"],
+     "does not hold (empty-intersection: fourth element a has a strictly larger justification"
+     " set (arrow a->a :. a->b))", DECISION_KEYS),
+    (["decide", "a", "b", "a", "b", "--algebra", "{a2}", "--engine", "oracle"],
+     "holds (maximal)", DECISION_KEYS),
+    (["decide", "a", "b", "p", "q", "--algebra", "{s}", "--algebra2", "{t}"],
+     "holds (maximal; witness: x1 -> g(x1))", DECISION_KEYS),
+    (["decide", "e1", "e0", "e1", "e0", "--algebra", "{c}"],
+     "holds (maximal; witness: x1 -> c1 (arrow e0->e1 :. e0->e1))", DECISION_KEYS),
+    (["solve", "20", "4", "30", "--algebra", "nmul"],
+     "{6, 9}\nwitness for 6: *(10,x1) -> *(2,x1)\nwitness for 6: *(5,x1) -> x1\n"
+     "witness for 9: *(10,x1) -> *(x1,x1)", {"command", "solutions", "witnesses"}),
+    (["solve", "20", "4", "30", "--algebra", "nmul", "--l", "1"], "{6}",
+     {"command", "solutions"}),
+    (["solve", "2", "3", "0", "--algebra", "zplus"], "{1}\nwitness for 1: x1 -> +(x1,1)",
+     {"command", "solutions", "witnesses"}),
+    (["solve", "1/2", "3", "4", "--algebra", "qmul"], "{24}", {"command", "solutions"}),
+    (["solve", "ab", "b", "a", "--algebra", "word:ab"], "{%e}", {"command", "solutions"}),
+    (["solve", "a", "b", "a", "--algebra", "{a2}"], "{b}", {"command", "solutions"}),
+    (["solve", "a", "b", "a", "--algebra", "{a2}", "--engine", "oracle"], "{b}",
+     {"command", "solutions"}),
+]
+
+
+class TestGoldenOutputs:
+    def test_text(self, capsys, golden_paths):
+        for argv, text, _ in GOLDEN:
+            argv = [arg.format(**golden_paths) for arg in argv]
+            assert invoke(capsys, *argv) == (0, text + "\n", ""), argv
+
+    def test_json_keys(self, capsys, golden_paths):
+        for argv, _, keys in GOLDEN:
+            argv = [arg.format(**golden_paths) for arg in argv]
+            status, out, _ = invoke(capsys, "--format", "json", *argv)
+            assert status == 0, argv
+            (record,) = records(out)
+            assert set(record) == keys, argv
+            assert record["command"] == argv[0]
+
+    def test_help_of_every_subcommand(self, capsys):
+        for name in [None, *main.commands]:
+            status, out, _ = invoke(capsys, *([name] if name else []), "--help")
+            assert status == 0, name
+            assert out.startswith("Usage:"), name
 
 
 class TestLoadAlgebra:
