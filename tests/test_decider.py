@@ -21,7 +21,7 @@ from anaprop.decider import (
     verify_characteristic,
 )
 from anaprop.oracle import OracleBudgetExceeded, OracleUniverse, enumerate_terms, oracle_justifications
-from anaprop.terms import App, RewriteRule, Var, parse_rule, parse_term, term_size
+from anaprop.terms import App, RewriteRule, Var, parse_rule, parse_term, term_size, variables
 from tests.strategies import random_algebra_pair
 
 
@@ -397,6 +397,74 @@ class TestRandomEquivalence:
                             assert (mine.holds, mine.reason) == (ref.holds, ref.reason), (
                                 first, second, dec.automaton.k, dec.automaton.ell, (a, b, c, d)
                             )
+
+
+class TestLiteralReference:
+    """The arrow definition of Antić, *Analogical proportions* (2022), transcribed
+    over explicit sets of rewrite rules; no behavior classes are involved."""
+
+    CASES = 40
+    TERM_LIMIT = 300
+
+    @staticmethod
+    def _justifications(terms, algebra):
+        """Jus(x -> y) of every arrow of ``algebra``, as sets of rules over ``terms``."""
+        values = [[eval_term(t, {"x1": x}, algebra) for x in algebra.carrier] for t in terms]
+        uses_x1 = ["x1" in variables(t) for t in terms]
+        jus = {(x, y): set() for x in algebra.carrier for y in algebra.carrier}
+        for i, s in enumerate(terms):
+            for j, t in enumerate(terms):
+                if uses_x1[j] and not uses_x1[i]:
+                    continue
+                rule = RewriteRule(s, t)
+                for hit in set(zip(values[i], values[j])):
+                    jus[hit].add(rule)
+        return jus
+
+    @staticmethod
+    def _arrow(lhs_jus, rhs_jus, trivial, a, b, c, d, carrier):
+        """``(holds, reason, counter, shared)`` of ``a -> b :. c -> d`` by the definition."""
+        lhs = lhs_jus[a, b]
+        if lhs | rhs_jus[c, d] <= trivial:
+            return True, "all-trivial", None, set()
+        shared = (lhs & rhs_jus[c, d]) - trivial
+        larger = [d2 for d2 in carrier if shared < (lhs & rhs_jus[c, d2]) - trivial]
+        counter = larger[0] if larger else None
+        if not shared:
+            return False, "empty-intersection", counter, shared
+        if larger:
+            return False, "not-maximal", counter, shared
+        return True, "maximal", None, shared
+
+    def test_arrows_match_the_definition(self):
+        rng = random.Random(404)
+        cases = arrows = 0
+        while cases < self.CASES:
+            first, second = random_algebra_pair(rng, max_size=3)
+            ell = rng.choice([1, None])
+            try:
+                dec = FragmentDecider(first, second, k=1, ell=ell, cap=300)
+                terms = enumerate_terms(first.signature, 1, ell, dec.state_count,
+                                        limit=self.TERM_LIMIT)
+            except (StateCapExceeded, OracleBudgetExceeded):
+                continue
+            cases += 1
+            jus = [self._justifications(terms, alg) for alg in (first, second)]
+            trivial = set.intersection(*(rules for side in jus for rules in side.values()))
+            for swap in (False, True):
+                left, right = (jus[1], jus[0]) if swap else (jus[0], jus[1])
+                lefts, rights = (second, first) if swap else (first, second)
+                for a, b in itertools.product(lefts.carrier, repeat=2):
+                    for c, d in itertools.product(rights.carrier, repeat=2):
+                        *want, shared = self._arrow(left, right, trivial, a, b, c, d,
+                                                    rights.carrier)
+                        got = dec.decide_arrow(a, b, c, d, swap=swap)
+                        assert (got.holds, got.reason, got.counter) == tuple(want), (
+                            first, second, ell, swap, (a, b, c, d))
+                        if got.reason == "maximal":
+                            assert got.witness in shared, (got.witness, (a, b, c, d))
+                        arrows += 1
+        assert arrows > self.CASES
 
 
 def _feasible_case(rng, max_states=40, term_limit=1500):
