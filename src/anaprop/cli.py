@@ -7,11 +7,11 @@ Output is plain text by default; ``--format json`` emits one JSON record per
 line.  Exit status is 0 for every successfully executed query regardless of
 the verdict, and 2 for input errors.
 
-decide and solve take their engine from the algebra: behavior automata over
-finite algebras (``--engine auto``, or ``oracle`` for the brute-force oracle),
-the full-framework rule search for solve over nmul without ``--l 1``, and
-otherwise the closed forms of the monolinear fragment, where a left-out
-``--l`` means 1 and ``--l inf`` is an input error.
+decide, solve and enumerate take their engine from the algebra: behavior
+automata over finite algebras (``--engine auto``, or ``oracle`` for the
+brute-force oracle), the full-framework rule search for solve over nmul
+without ``--l 1``, and otherwise the closed forms of the monolinear fragment,
+where a left-out ``--l`` means 1 and ``--l inf`` is an input error.
 """
 from __future__ import annotations
 
@@ -61,6 +61,7 @@ from .terms import (
     parse_term,
     render,
     signature_of,
+    split_rule,
 )
 from .trees import check_tree_proportion, lgg, solve_tree_equation
 
@@ -210,8 +211,7 @@ def _mul_domain(algebra: Algebra) -> str:
 def _decision(eng, algebra: Algebra, a, b, c, d) -> tuple[bool, dict, str]:
     """Whether a : b :: c : d holds, the record's other fields and the text detail."""
     if eng != CLOSED_FORM:
-        decide = eng.decide if isinstance(eng, OracleUniverse) else eng.decide_proportion
-        verdict = decide(a, b, c, d)
+        verdict = eng.decide_proportion(a, b, c, d)
         detail = verdict.reason
         if verdict.holds and verdict.witness is not None:
             detail += f"; witness: {verdict.witness}"
@@ -318,8 +318,7 @@ def enumerate_command(out: Output, algebra_spec: str, algebra2_spec: Optional[st
     first, second = _load_pair(algebra_spec, algebra2_spec, False)
     if not isinstance(first, FiniteAlgebra):
         raise ValueError("enumeration requires a finite algebra")
-    decider = FragmentDecider(first, second, k=k, ell=_parse_ell(ell), cap=cap)
-    quads = decider.enumerate_all()
+    quads = _resolve("enumerate", first, second, k, ell, engine, None, cap).enumerate_all()
     out.emit(
         {"command": "enumerate", "quadruples": [list(q) for q in quads]},
         "\n".join(f"{a} : {b} :: {c} : {d}" for a, b, c, d in quads) or "(none)",
@@ -424,7 +423,7 @@ def check_rule_command(out: Output, rule: str, a: str, b: str, c: str, d: str,
     """Verify a rewrite rule as a characteristic justification of A->B :: C->D."""
     first, second = _load_pair(algebra_spec, algebra2_spec, allow_empty)
     if isinstance(first, WordConcatenation):
-        lhs_text, rhs_text = rule.split("->")
+        lhs_text, rhs_text = split_rule(rule)
         parsed = RewriteRule(
             parse_word_pattern(first, lhs_text.strip(), tokens),
             parse_word_pattern(first, rhs_text.strip(), tokens),

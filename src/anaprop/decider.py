@@ -76,7 +76,6 @@ class BehaviorAutomaton:
         self.index: dict[BehaviorState, int] = {}
         self.witnesses: list[Term] = []
         self.sizes: list[int] = []  # term_size of each state's witness
-        self.transitions: dict[tuple[str, tuple[int, ...]], int] = {}
         self._op_tables = [
             {
                 sym: {
@@ -137,10 +136,7 @@ class BehaviorAutomaton:
             for m in range(len(self.algebras))
         )
         witness = App(symbol, tuple(self.witnesses[c] for c in children))
-        idx = self._add(BehaviorState(tables, occ), witness, children)
-        if idx is not None:
-            self.transitions[(symbol, children)] = idx
-        return idx
+        return self._add(BehaviorState(tables, occ), witness, children)
 
     def _build(self) -> None:
         self._leaf_states()
@@ -169,20 +165,28 @@ def behavior_automaton(algebra: FiniteAlgebra, k: int, ell: Optional[int] = None
 
 
 class FragmentDecider:
-    """Decides the (k, ell)-proportion relation over a pair of finite algebras."""
+    """Decides the (k, ell)-proportion relation over a pair of finite algebras.
+
+    The behavior classes are read from ``self.automaton``, only through its
+    ``algebras``, ``states``, ``witnesses`` and ``sizes``.
+    """
 
     def __init__(self, first: FiniteAlgebra, second: Optional[FiniteAlgebra] = None,
                  k: int = 1, ell: Optional[int] = None, cap: int = 10 ** 6):
+        self.automaton = BehaviorAutomaton(self._set_pair(first, second), k, ell, cap)
+
+    def _set_pair(self, first: FiniteAlgebra, second: Optional[FiniteAlgebra]
+                  ) -> tuple[FiniteAlgebra, ...]:
+        """Record the algebra pair and return the algebras that the classes evaluate in."""
         self.first = first
         self.second = second if second is not None else first
         same = second is None or second is first
-        algebras = (first,) if same else (first, self.second)
-        self.automaton = BehaviorAutomaton(algebras, k, ell, cap)
         self.sides = (0, 0) if same else (0, 1)
         self._pairs_built = False
         self._valid_pairs: list[tuple[int, int]] = []
         self._by_side: list[dict[tuple[str, str], frozenset[int]]] = []
         self._trivial: frozenset[int] = frozenset()
+        return (first,) if same else (first, self.second)
 
     # -- class-pair universe ------------------------------------------------
 
@@ -206,12 +210,9 @@ class FragmentDecider:
                 pair_ids.append((i, j))
                 is_trivial = True
                 for m, carrier in enumerate(carriers):
-                    hits = {
-                        (carrier[si.tables[m][t]], carrier[sj.tables[m][t]])
-                        for t in range(len(auto.assignments[m]))
-                    }
-                    for hit in hits:
-                        by_side[m].setdefault(hit, set()).add(pid)
+                    hits = set(zip(si.tables[m], sj.tables[m]))
+                    for x, y in hits:
+                        by_side[m].setdefault((carrier[x], carrier[y]), set()).add(pid)
                     if len(hits) != len(carrier) ** 2:
                         is_trivial = False
                 if is_trivial:
@@ -349,7 +350,7 @@ class FragmentDecider:
 
     @property
     def state_count(self) -> int:
-        return self.automaton.state_count
+        return len(self.automaton.states)
 
 
 # ---------------------------------------------------------------------------

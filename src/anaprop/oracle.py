@@ -1,20 +1,25 @@
-"""Brute-force reference for the finite-algebra decision procedure.
+"""Brute-force reference for the behavior classes of the finite-algebra decider.
 
 Enumerates every term of the fragment up to a depth bound, evaluates each one
-directly under every assignment, and transcribes the proportion definition
-literally over the resulting rule universe.  With the depth set to at least
-the number of reachable behavior states, every behavior class is realized
-within the bound and the bounded comparisons coincide with the unbounded
-ones, so the oracle is exact.  It is allowed to be exponential.
+directly under every assignment, and groups the terms by the observed value
+tables and variable sets.  Those observation classes replace the behavior
+automaton's states; the class-pair index and the arrow decision are the
+decider's own.  So the oracle checks the automaton's classes by direct term
+evaluation, not the decision code; the literal transcription of the arrow
+definition over sets of rules lives in the test suite (``tests/test_decider.py``,
+``TestLiteralReference``).  With the depth set to at least the number of
+reachable behavior states, every behavior class is realized within the bound,
+so the oracle is exact.  It is allowed to be exponential.
 """
 from __future__ import annotations
 
 import itertools
+from types import SimpleNamespace
 from typing import Optional
 
 from .algebras import FiniteAlgebra, eval_term
-from .decider import Verdict
-from .terms import App, RewriteRule, Signature, Term, Var, variables
+from .decider import BehaviorState, FragmentDecider, Verdict
+from .terms import App, RewriteRule, Signature, Term, Var, term_size, variables
 
 
 class OracleBudgetExceeded(Exception):
@@ -83,105 +88,49 @@ def oracle_justifications(a: str, b: str, algebra: FiniteAlgebra, k: int,
     return out
 
 
-class OracleUniverse:
-    """The bounded rule universe of an algebra pair, grouped by observed behavior.
+class OracleUniverse(FragmentDecider):
+    """The bounded term universe of an algebra pair, grouped by observed behavior.
 
-    Terms with identical value vectors (in both algebras) and identical
+    Terms with identical value tables (in each algebra) and identical
     variable sets are interchangeable in every membership and comparison the
-    proportion definition makes, so rule-set comparisons factor through these
-    observation classes.
+    proportion definition makes, so each such observation class becomes one
+    behavior state and the decision is the decider's over these classes.
     """
 
     def __init__(self, first: FiniteAlgebra, second: Optional[FiniteAlgebra] = None,
                  k: int = 1, ell: Optional[int] = None, depth: int = 3,
                  limit: Optional[int] = None):
-        self.first = first
-        self.second = second if second is not None else first
+        algebras = self._set_pair(first, second)
         if self.second.signature.ranks != first.signature.ranks:
             raise ValueError("the two algebras must share a signature")
-        self.k = k
         terms = enumerate_terms(first.signature, k, ell, depth, limit)
         names = [f"x{i + 1}" for i in range(k)]
-        self._assignments = [
+        assignments = [
             [dict(zip(names, values)) for values in itertools.product(alg.carrier, repeat=k)]
-            for alg in (self.first, self.second)
+            for alg in algebras
         ]
-        class_index: dict[tuple, int] = {}
-        self.class_vectors: list[tuple] = []
-        self.class_reps: list[Term] = []
+        self.automaton = SimpleNamespace(algebras=algebras, states=[], witnesses=[], sizes=[])
+        seen: set[BehaviorState] = set()
         for t in terms:
-            key = (
-                tuple(eval_term(t, alpha, self.first) for alpha in self._assignments[0]),
-                tuple(eval_term(t, alpha, self.second) for alpha in self._assignments[1]),
-                frozenset(variables(t)),
+            used = variables(t)
+            state = BehaviorState(
+                tuple(
+                    tuple(alg.index(eval_term(t, alpha, alg)) for alpha in alphas)
+                    for alg, alphas in zip(algebras, assignments)
+                ),
+                tuple(int(name in used) for name in names),
             )
-            if key not in class_index:
-                class_index[key] = len(self.class_vectors)
-                self.class_vectors.append(key)
-                self.class_reps.append(t)
-        self._build_pairs()
+            if state not in seen:
+                seen.add(state)
+                self.automaton.states.append(state)
+                self.automaton.witnesses.append(t)
+                self.automaton.sizes.append(term_size(t))
+        self.class_reps = self.automaton.witnesses
+        self._build_pairs()  # an oracle is built to be queried: index it with its terms
 
-    def _build_pairs(self) -> None:
-        by_side: list[dict[tuple[str, str], set[int]]] = [{}, {}]
-        trivial: set[int] = set()
-        pairs: list[tuple[int, int]] = []
-        carriers = [self.first.carrier, self.second.carrier]
-        for i, (vec_a_i, vec_b_i, mask_i) in enumerate(self.class_vectors):
-            for j, (vec_a_j, vec_b_j, mask_j) in enumerate(self.class_vectors):
-                if not mask_j <= mask_i:
-                    continue
-                pid = len(pairs)
-                pairs.append((i, j))
-                is_trivial = True
-                for m, (vi, vj) in enumerate([(vec_a_i, vec_a_j), (vec_b_i, vec_b_j)]):
-                    hits = set(zip(vi, vj))
-                    for hit in hits:
-                        by_side[m].setdefault(hit, set()).add(pid)
-                    if len(hits) != len(carriers[m]) ** 2:
-                        is_trivial = False
-                if is_trivial:
-                    trivial.add(pid)
-        self.pairs = pairs
-        self.by_side = [
-            {key: frozenset(v) for key, v in side.items()} for side in by_side
-        ]
-        self.trivial = frozenset(trivial)
-
-    def _side(self, side: int, a: str, b: str) -> frozenset[int]:
-        return self.by_side[side].get((a, b), frozenset())
-
-    def decide_arrow(self, a: str, b: str, c: str, d: str, swap: bool = False) -> Verdict:
-        left, right = (1, 0) if swap else (0, 1)
-        label = f"{a}->{b} :. {c}->{d}"
-        lhs = self._side(left, a, b)
-        rhs = self._side(right, c, d)
-        if (lhs | rhs) <= self.trivial:
-            return Verdict(True, "all-trivial", arrow=label)
-        shared = (lhs & rhs) - self.trivial
-        carrier = (self.first if right == 0 else self.second).carrier
-        if not shared:
-            return Verdict(False, "empty-intersection", arrow=label)
-        for d2 in carrier:
-            other = (lhs & self._side(right, c, d2)) - self.trivial
-            if shared < other:
-                return Verdict(False, "not-maximal", counter=d2, arrow=label)
-        return Verdict(True, "maximal", arrow=label)
-
-    def decide(self, a: str, b: str, c: str, d: str) -> Verdict:
-        arrows = [
-            self.decide_arrow(a, b, c, d),
-            self.decide_arrow(b, a, d, c),
-            self.decide_arrow(c, d, a, b, swap=True),
-            self.decide_arrow(d, c, b, a, swap=True),
-        ]
-        for verdict in arrows:
-            if not verdict.holds:
-                return verdict
-        reason = "maximal" if any(v.reason == "maximal" for v in arrows) else "all-trivial"
-        return Verdict(True, reason)
-
-    def solve(self, a: str, b: str, c: str) -> list[str]:
-        return [d for d in self.second.carrier if self.decide(a, b, c, d).holds]
+    # the oracle's name for decide_proportion; an alias, not a wrapper, so
+    # tracing (perfbench/tracing.py) sees one call per decision
+    decide = FragmentDecider.decide_proportion
 
 
 def oracle_decide(a: str, b: str, c: str, d: str, first: FiniteAlgebra,

@@ -326,11 +326,17 @@ def parse_term(text: str, signature: Optional[Signature] = None) -> Term:
     return term
 
 
-def parse_rule(text: str, signature: Optional[Signature] = None) -> RewriteRule:
+def split_rule(text: str) -> tuple[str, str]:
+    """The two sides of ``s -> t``, unparsed."""
     parts = text.split("->")
     if len(parts) != 2:
         raise TermSyntaxError(f"a rule must have the form 's -> t', got {text!r}")
-    return RewriteRule(parse_term(parts[0], signature), parse_term(parts[1], signature))
+    return parts[0], parts[1]
+
+
+def parse_rule(text: str, signature: Optional[Signature] = None) -> RewriteRule:
+    lhs, rhs = split_rule(text)
+    return RewriteRule(parse_term(lhs, signature), parse_term(rhs, signature))
 
 
 def render(term: Term) -> str:

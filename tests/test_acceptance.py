@@ -6,6 +6,7 @@ exactly or a property checked at the stated scale.
 """
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from anaprop.algebras import (
@@ -189,7 +190,9 @@ class TestCriterion2OracleEquivalence:
                         for d in second.carrier:
                             mine = dec.decide_proportion(a, b, c, d)
                             ref = uni.decide(a, b, c, d)
-                            assert (mine.holds, mine.reason) == (ref.holds, ref.reason), (
+                            # every field but the witness, which may be another
+                            # least rule of the same shared set
+                            assert replace(mine, witness=None) == replace(ref, witness=None), (
                                 first, second, k, ell, (a, b, c, d)
                             )
         assert cases == 200

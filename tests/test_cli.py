@@ -8,6 +8,7 @@ import pytest
 
 from anaprop.algebras import FiniteAlgebra, algebra_to_json, save_finite_algebra
 from anaprop.cli import load_algebra, main, run
+from anaprop.oracle import OracleUniverse
 from anaprop.algebras import IntAddition, NaturalMultiplication, WordConcatenation
 
 
@@ -63,13 +64,11 @@ class TestDecide:
     def test_engines_agree_on_golden_queries(self, capsys, a2_path):
         for quad in [("a", "b", "c", "d"), ("a", "b", "a", "b"), ("a", "a", "c", "c"),
                      ("a", "a", "a", "d")]:
-            verdicts = []
-            for engine in ["auto", "oracle"]:
-                _, out, _ = invoke(
-                    capsys, "decide", *quad, "--algebra", a2_path, "--engine", engine
-                )
-                verdicts.append(out.split()[0])
-            assert len(set(verdicts)) == 1, (quad, verdicts)
+            outputs = [
+                invoke(capsys, "decide", *quad, "--algebra", a2_path, "--engine", engine)[1]
+                for engine in ["auto", "oracle"]
+            ]
+            assert len(set(outputs)) == 1, (quad, outputs)
 
     def test_word_decide(self, capsys):
         status, out, _ = invoke(
@@ -260,12 +259,38 @@ class TestCheckRule:
         assert status == 0
         assert out.startswith("characteristic justification")
 
+    @pytest.mark.parametrize("rule", ["x1bx2", "x1 -> b -> x1"])
+    def test_word_rule_needs_one_arrow(self, capsys, rule):
+        status, out, err = invoke(capsys, "check-rule", rule, "ab", "ac", "bc", "cc",
+                                  "--algebra", "word:abc")
+        assert (status, out) == (2, "")
+        assert err == f"error: a rule must have the form 's -> t', got {rule!r}\n"
+
 
 class TestEnumerate:
     def test_quadruples(self, capsys, a2_path):
         status, out, _ = invoke(capsys, "enumerate", "--algebra", a2_path)
         assert status == 0
         assert "a : b :: a : b" in out
+
+    def test_oracle_engine_matches_auto(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "a3.json"
+        save_finite_algebra(FiniteAlgebra(name="A3", carrier=("a", "b", "c"), ops={
+            "f": {("a",): "b", ("b",): "b", ("c",): "c"},
+            "g": {("a",): "c", ("b",): "b", ("c",): "c"},
+        }), str(path))
+        auto = invoke(capsys, "enumerate", "--algebra", str(path))
+        assert auto[0] == 0 and "a : b :: a : b" in auto[1]
+        oracle_runs = []
+        enumerate_all = OracleUniverse.enumerate_all
+        monkeypatch.setattr(OracleUniverse, "enumerate_all",
+                            lambda self: oracle_runs.append(self) or enumerate_all(self))
+        assert invoke(capsys, "enumerate", "--algebra", str(path), "--engine", "oracle") == auto
+        assert len(oracle_runs) == 1
+
+    def test_oracle_engine_needs_a_finite_algebra(self, capsys):
+        assert invoke(capsys, "enumerate", "--algebra", "zplus", "--engine", "oracle") == (
+            2, "", "error: enumeration requires a finite algebra\n")
 
 
 class TestJsonFormat:
@@ -348,7 +373,7 @@ GOLDEN = [
      "does not hold (empty-intersection: fourth element a has a strictly larger justification"
      " set (arrow a->a :. a->b))", DECISION_KEYS),
     (["decide", "a", "b", "a", "b", "--algebra", "{a2}", "--engine", "oracle"],
-     "holds (maximal)", DECISION_KEYS),
+     "holds (maximal; witness: x1 -> f(x1))", DECISION_KEYS),
     (["decide", "a", "b", "p", "q", "--algebra", "{s}", "--algebra2", "{t}"],
      "holds (maximal; witness: x1 -> g(x1))", DECISION_KEYS),
     (["decide", "e1", "e0", "e1", "e0", "--algebra", "{c}"],

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -374,7 +375,9 @@ class TestOracleDecide:
         ]:
             dec = FragmentDecider(alg, k=1)
             uni = OracleUniverse(alg, k=1, depth=dec.state_count)
-            assert uni.decide(*quad).holds == dec.decide_proportion(*quad).holds
+            # every field but the witness, which may be another least rule of the shared set
+            mine, ref = dec.decide_proportion(*quad), uni.decide(*quad)
+            assert replace(mine, witness=None) == replace(ref, witness=None)
 
 
 class TestRandomEquivalence:
@@ -394,7 +397,8 @@ class TestRandomEquivalence:
                         for d in second.carrier:
                             mine = dec.decide_proportion(a, b, c, d)
                             ref = uni.decide(a, b, c, d)
-                            assert (mine.holds, mine.reason) == (ref.holds, ref.reason), (
+                            # every field but the witness (see TestOracleDecide)
+                            assert replace(mine, witness=None) == replace(ref, witness=None), (
                                 first, second, dec.automaton.k, dec.automaton.ell, (a, b, c, d)
                             )
 
