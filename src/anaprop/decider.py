@@ -237,8 +237,9 @@ class FragmentDecider:
         )
 
     def _smallest_rule(self, pids: frozenset[int]) -> RewriteRule:
+        """The rule of the pair with the least witness size, then the least (i, j)."""
         sizes, pairs = self.automaton.sizes, self._valid_pairs
-        best = min(pids, key=lambda pid: sizes[pairs[pid][0]] + sizes[pairs[pid][1]])
+        best = min(pids, key=lambda pid: (sizes[pairs[pid][0]] + sizes[pairs[pid][1]], pid))
         return self._rule_for(best)
 
     # -- spec surface ---------------------------------------------------------

@@ -22,7 +22,8 @@ from anaprop.decider import (
     verify_characteristic,
 )
 from anaprop.oracle import OracleBudgetExceeded, OracleUniverse, enumerate_terms, oracle_justifications
-from anaprop.terms import App, RewriteRule, Var, parse_rule, parse_term, term_size, variables
+from anaprop.terms import (App, RewriteRule, Var, canonical_rule, parse_rule, parse_term, term_size,
+                           variables)
 from tests.strategies import random_algebra_pair
 
 
@@ -267,6 +268,12 @@ class TestBatchAgreesWithDecide:
                 least = min(size(s) + size(t) for s, t in dec.justification_classes(*quad)
                             if not dec.is_trivial_pair(s, t))
                 assert term_size(verdict.witness.lhs) + term_size(verdict.witness.rhs) == least
+                # ties go to the least class pair (i, j)
+                _, i, j = min((size(s) + size(t), auto.index[s], auto.index[t])
+                              for s, t in dec.justification_classes(*quad)
+                              if not dec.is_trivial_pair(s, t))
+                assert verdict.witness == canonical_rule(
+                    RewriteRule(auto.witnesses[i], auto.witnesses[j]))
             # decide_proportion's witness is the one of the arrow it names
             proportion = dec.decide_proportion(a, b, c, d)
             inner = f"{b}->{a} :. {d}->{c}"
