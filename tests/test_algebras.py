@@ -18,6 +18,8 @@ from anaprop.algebras import (
     eval_term,
     in_unity_set,
     is_injective_term,
+    linear_form,
+    monomial_form,
     parse_word_pattern,
     render_word_term,
     solution_set,
@@ -84,6 +86,40 @@ class TestEval:
     @given(st.integers(-50, 50), st.integers(-50, 50))
     def test_translation(self, k, o):
         assert eval_term(parse_term(f"+(x1,{k})"), {"x1": o}, ZPLUS) == o + k
+
+
+class TestNormalForms:
+    def test_linear_form_of_a_mixed_term(self):
+        const, coeffs = linear_form(parse_term("+(x2,+(3,+(x1,+(-5,x2))))"))
+        assert const == -2
+        assert list(coeffs.items()) == [("x2", 2), ("x1", 1)]
+
+    def test_monomial_form_of_a_mixed_term(self):
+        coeff, exps = monomial_form(parse_term("*(x2,*(2,*(x1,*(3,x2))))"), int)
+        assert coeff == 6
+        assert list(exps.items()) == [("x2", 2), ("x1", 1)]
+        assert monomial_form(parse_term("*(1/2,*(x1,4))"), Fraction) == (2, {"x1": 1})
+
+    def test_leaves(self):
+        assert linear_form(x1) == (0, {"x1": 1})
+        assert linear_form(App("7")) == (7, {})
+        assert monomial_form(x1, int) == (1, {"x1": 1})
+        assert monomial_form(App("7"), int) == (7, {})
+
+    @pytest.mark.parametrize("form, term, message", [
+        (linear_form, "f(x1)", "unknown symbol 'f' over integer addition"),
+        (linear_form, "+(x1,*(x1,x1))", "unknown symbol '*' over integer addition"),
+        (linear_form, "+(x1)", "'+' has rank 2"),
+        (linear_form, "+(x1,a)", "'a' is not an integer constant"),
+        (lambda t: monomial_form(t, int), "f(x1)", "unknown symbol 'f' over multiplication"),
+        (lambda t: monomial_form(t, int), "*(x1,+(x1,x1))",
+         "unknown symbol '+' over multiplication"),
+        (lambda t: monomial_form(t, int), "*(x1,x1,x1)", "'*' has rank 2"),
+    ])
+    def test_messages(self, form, term, message):
+        with pytest.raises(ValueError) as info:
+            form(parse_term(term))
+        assert str(info.value) == message
 
 
 class TestSolutionSet:

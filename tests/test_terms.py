@@ -9,6 +9,7 @@ from anaprop.terms import (
     canonical_rule,
     canonical_term,
     count_occurrences,
+    fresh_renaming,
     generalizes,
     occurrences,
     parse_rule,
@@ -150,6 +151,14 @@ class TestCanonical:
     def test_rule_orders_lhs_first(self):
         rule = RewriteRule(App("f", (Var("x9"),)), Var("x9"))
         assert canonical_rule(rule) == RewriteRule(App("f", (x1,)), x1)
+
+    @given(terms(), terms())
+    def test_is_fresh_renaming_avoiding_nothing(self, s, t):
+        assert canonical_term(s) == substitute(s, fresh_renaming([s], set()))
+        rule = RewriteRule(f(t, s), s)
+        sigma = fresh_renaming([rule.lhs, rule.rhs], set())
+        assert canonical_rule(rule) == RewriteRule(substitute(rule.lhs, sigma),
+                                                   substitute(rule.rhs, sigma))
 
 
 class TestSyntax:
