@@ -137,8 +137,6 @@ l_option = click.option("--l", "ell", default=None,
                         help="occurrence bound per variable (integer or 'inf')")
 engine_option = click.option("--engine", default="auto", show_default=True,
                              type=click.Choice(["auto", "oracle"]))
-depth_option = click.option("--depth", default=None, type=int,
-                            help="term depth for the oracle engine (default: exactness bound)")
 cap_option = click.option("--cap", default=10 ** 6, show_default=True,
                           help="behavior-state cap for the automata engine")
 tokens_option = click.option("--tokens", is_flag=True,
@@ -165,7 +163,7 @@ def _load_pair(spec1: str, spec2: Optional[str], allow_empty: bool):
 
 
 def _resolve(command: str, first: Algebra, second: Optional[Algebra], k: int,
-             ell: Optional[str], engine: str, depth: Optional[int], cap: int):
+             ell: Optional[str], engine: str, cap: int):
     """The engine that answers ``command`` over the algebra pair.
 
     A FragmentDecider or an OracleUniverse over finite algebras,
@@ -177,8 +175,8 @@ def _resolve(command: str, first: Algebra, second: Optional[Algebra], k: int,
     if first.is_finite:
         decider = FragmentDecider(first, second, k=k, ell=bound, cap=cap)
         if engine == "oracle":
-            depth = depth if depth is not None else decider.state_count
-            return OracleUniverse(first, second, k=k, ell=bound, depth=depth)
+            # at this depth every behavior class has a term: the oracle is exact
+            return OracleUniverse(first, second, k=k, ell=bound, depth=decider.state_count)
         return decider
     if engine == "oracle":
         raise ValueError(f"engine {engine!r} requires a finite algebra")
@@ -259,7 +257,7 @@ def _solutions(eng, algebra: Algebra, a, b, c) -> tuple[list, Optional[dict]]:
 def _query_options(command):
     """The options shared by decide and solve."""
     for option in reversed([algebra_option, algebra2_option, k_option, l_option, engine_option,
-                            depth_option, cap_option, tokens_option, allow_empty_option,
+                            cap_option, tokens_option, allow_empty_option,
                             click.pass_obj]):
         command = option(command)
     return command
@@ -273,10 +271,10 @@ def _query_options(command):
 @_query_options
 def decide(out: Output, a: str, b: str, c: str, d: str, algebra_spec: str,
            algebra2_spec: Optional[str], k: int, ell: Optional[str], engine: str,
-           depth: Optional[int], cap: int, tokens: bool, allow_empty: bool) -> None:
+           cap: int, tokens: bool, allow_empty: bool) -> None:
     """Decide whether A : B :: C : D holds."""
     first, second = _load_pair(algebra_spec, algebra2_spec, allow_empty)
-    eng = _resolve("decide", first, second, k, ell, engine, depth, cap)
+    eng = _resolve("decide", first, second, k, ell, engine, cap)
     elems = _parse_elements(first, second, (a, b, c, d), tokens)
     holds, fields, detail = _decision(eng, first, *elems)
     out.emit({"command": "decide", "holds": holds, **fields},
@@ -290,10 +288,10 @@ def decide(out: Output, a: str, b: str, c: str, d: str, algebra_spec: str,
 @_query_options
 def solve(out: Output, a: str, b: str, c: str, algebra_spec: str,
           algebra2_spec: Optional[str], k: int, ell: Optional[str], engine: str,
-          depth: Optional[int], cap: int, tokens: bool, allow_empty: bool) -> None:
+          cap: int, tokens: bool, allow_empty: bool) -> None:
     """Solve A : B :: C : x, printing every solution."""
     first, second = _load_pair(algebra_spec, algebra2_spec, allow_empty)
-    eng = _resolve("solve", first, second, k, ell, engine, depth, cap)
+    eng = _resolve("solve", first, second, k, ell, engine, cap)
     elems = _parse_elements(first, second, (a, b, c), tokens)
     solutions, witnesses = _solutions(eng, first, *elems)
     record = {"command": "solve", "solutions": solutions}
@@ -318,7 +316,7 @@ def enumerate_command(out: Output, algebra_spec: str, algebra2_spec: Optional[st
     first, second = _load_pair(algebra_spec, algebra2_spec, False)
     if not isinstance(first, FiniteAlgebra):
         raise ValueError("enumeration requires a finite algebra")
-    quads = _resolve("enumerate", first, second, k, ell, engine, None, cap).enumerate_all()
+    quads = _resolve("enumerate", first, second, k, ell, engine, cap).enumerate_all()
     out.emit(
         {"command": "enumerate", "quadruples": [list(q) for q in quads]},
         "\n".join(f"{a} : {b} :: {c} : {d}" for a, b, c, d in quads) or "(none)",
@@ -375,7 +373,8 @@ def check_tree_command(out: Output, p: str, q: str, r: str, u: str) -> None:
 @click.argument("b")
 @algebra_option
 @k_option
-@click.option("--depth", default=2, show_default=True, help="term depth for finite algebras")
+@click.option("--depth", default=2, show_default=True, type=click.IntRange(min=0),
+              help="term depth for finite algebras")
 @click.pass_obj
 def antiunify_command(out: Output, a: str, b: str, algebra_spec: str, k: int,
                       depth: int) -> None:
