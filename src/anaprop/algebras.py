@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterator, Optional
@@ -25,6 +26,8 @@ from .terms import (
     Var,
     generalizes,
     is_var_name,
+    parse_term,
+    right_nested,
     variables,
 )
 
@@ -55,9 +58,6 @@ class Algebra:
 
     def parse_element(self, text: str) -> Element:
         raise NotImplementedError
-
-    def render_element(self, element: Element) -> str:
-        return str(element)
 
     # Solution machinery; defaults defer to per-algebra counting rules.
 
@@ -319,46 +319,36 @@ def save_finite_algebra(algebra: FiniteAlgebra, path: str) -> None:
 # Linear / monomial normal forms shared by the numeric built-ins
 
 
-def linear_form(term: Term) -> tuple[int, dict[str, int]]:
-    """Normalize a term over {+, integer constants} to constant + coefficients."""
+def _fold_form(term: Term, symbol: str, unit, parse_const, combine, domain: str
+               ) -> tuple[Any, dict[str, int]]:
+    """Fold a term over {symbol, constants} to a constant and per-variable counts."""
     if isinstance(term, Var):
-        return 0, {term.name: 1}
+        return unit, {term.name: 1}
     assert isinstance(term, App)
     if not term.args:
-        return _parse_int(term.symbol), {}
-    if term.symbol != "+":
-        raise ValueError(f"unknown symbol {term.symbol!r} over integer addition")
+        return parse_const(term.symbol), {}
+    if term.symbol != symbol:
+        raise ValueError(f"unknown symbol {term.symbol!r} over {domain}")
     if len(term.args) != 2:
-        raise ValueError("'+' has rank 2")
-    const = 0
-    coeffs: dict[str, int] = {}
+        raise ValueError(f"{symbol!r} has rank 2")
+    const = unit
+    counts: dict[str, int] = {}
     for arg in term.args:
-        c, cf = linear_form(arg)
-        const += c
-        for v, m in cf.items():
-            coeffs[v] = coeffs.get(v, 0) + m
-    return const, coeffs
+        c, cs = _fold_form(arg, symbol, unit, parse_const, combine, domain)
+        const = combine(const, c)
+        for v, m in cs.items():
+            counts[v] = counts.get(v, 0) + m
+    return const, counts
+
+
+def linear_form(term: Term) -> tuple[int, dict[str, int]]:
+    """Normalize a term over {+, integer constants} to constant + coefficients."""
+    return _fold_form(term, "+", 0, _parse_int, operator.add, "integer addition")
 
 
 def monomial_form(term: Term, parse_const) -> tuple[Any, dict[str, int]]:
     """Normalize a term over {*, constants} to coefficient * product of powers."""
-    if isinstance(term, Var):
-        return 1, {term.name: 1}
-    assert isinstance(term, App)
-    if not term.args:
-        return parse_const(term.symbol), {}
-    if term.symbol != "*":
-        raise ValueError(f"unknown symbol {term.symbol!r} over multiplication")
-    if len(term.args) != 2:
-        raise ValueError("'*' has rank 2")
-    coeff: Any = 1
-    exps: dict[str, int] = {}
-    for arg in term.args:
-        c, e = monomial_form(arg, parse_const)
-        coeff = coeff * c
-        for v, m in e.items():
-            exps[v] = exps.get(v, 0) + m
-    return coeff, exps
+    return _fold_form(term, "*", 1, parse_const, operator.mul, "multiplication")
 
 
 def _parse_int(text: str) -> int:
@@ -530,10 +520,7 @@ class NaturalMultiplication(Algebra):
 
     def apply(self, symbol: str, args: tuple[Element, ...]) -> Element:
         if not args:
-            n = _parse_int(symbol)
-            if n < 2:
-                raise ValueError(f"{n} is not an element of nmul (needs n >= 2)")
-            return n
+            return self.parse_element(symbol)
         if symbol != "*" or len(args) != 2:
             raise ValueError(f"unknown symbol {symbol!r}/{len(args)} over nmul")
         return args[0] * args[1]
@@ -593,9 +580,7 @@ class WordConcatenation(Algebra):
 
     def apply(self, symbol: str, args: tuple[Element, ...]) -> Element:
         if not args:
-            word = "" if symbol == "%e" else symbol
-            self._check_word(word)
-            return word
+            return self.parse_element(symbol)
         if symbol != "concat" or len(args) != 2:
             raise ValueError(f"unknown symbol {symbol!r}/{len(args)} over words")
         return args[0] + args[1]
@@ -726,8 +711,6 @@ class TermAlgebra(Algebra):
         return App(symbol, tuple(args))
 
     def parse_element(self, text: str) -> Element:
-        from .terms import parse_term
-
         return parse_term(text, self.signature)
 
     def solution_assignments(self, term: Term, value: Term) -> list[Assignment]:
@@ -740,12 +723,7 @@ class TermAlgebra(Algebra):
 
 def word_pattern_term(items: list[Term]) -> Term:
     """Build a word term (right-nested concatenation) from pattern items."""
-    if not items:
-        return App("%e")
-    out = items[-1]
-    for item in reversed(items[:-1]):
-        out = App("concat", (item, out))
-    return out
+    return right_nested("concat", items) if items else App("%e")
 
 
 def parse_word_pattern(algebra: WordConcatenation, text: str,

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .algebras import FiniteAlgebra, divisors, eval_term
-from .terms import App, Term, Var, canonical_term, variables
+from .terms import App, Term, Var, canonical_term, right_nested, variables
 
 _VAR_LETTERS = "xyzvwpqrst"
 
@@ -64,10 +64,7 @@ def monomial_over(coeff: int, exps: dict[str, int]) -> Term:
         factors.extend([Var(name)] * e)
     if not factors:
         raise ValueError("empty monomial")
-    out = factors[-1]
-    for t in reversed(factors[:-1]):
-        out = App("*", (t, out))
-    return out
+    return right_nested("*", factors)
 
 
 def _factorize(n: int) -> dict[int, int]:

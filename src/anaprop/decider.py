@@ -15,8 +15,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .algebras import Algebra, FiniteAlgebra, eval_term, in_unity_set, solution_set
-from .antiunify import monomial_over, monomial_term
+from . import antiunify  # by module: tracing wraps antiunify.common_gens in place
+from .algebras import (
+    Algebra,
+    FiniteAlgebra,
+    NaturalMultiplication,
+    eval_term,
+    in_unity_set,
+    solution_set,
+)
 from .terms import App, RewriteRule, Term, Var, canonical_rule, variables
 
 
@@ -266,30 +273,23 @@ class FragmentDecider:
                       ) -> tuple[bool, str, Optional[str], frozenset[int]]:
         """``(holds, reason, counter, shared)`` of ``a -> b`` in side ``left``
         against ``c -> d`` in side ``right``; ``shared`` is the set of
-        non-trivial class pairs justifying both, from which a witness is chosen."""
+        non-trivial class pairs justifying both, from which a witness is chosen.
+
+        The counter is the first d2 whose shared set strictly contains
+        ``shared``; for an empty ``shared`` that is the first non-empty one."""
         lhs = self._side_set(left, a, b)
         rhs = self._side_set(right, c, d)
         if lhs <= self._trivial and rhs <= self._trivial:
             return True, "all-trivial", None, frozenset()
-        shared = (lhs & rhs) - self._trivial
-        if not shared:
-            return False, "empty-intersection", self._dominating(left, right, a, b, c), shared
-        counter = self._dominating(left, right, a, b, c, strict_over=shared)
-        if counter is not None:
-            return False, "not-maximal", counter, shared
-        return True, "maximal", None, shared
-
-    def _dominating(self, left: int, right: int, a: str, b: str, c: str,
-                    strict_over: Optional[frozenset[int]] = None) -> Optional[str]:
-        lhs = self._side_set(left, a, b)
+        lhs = lhs - self._trivial
+        shared = lhs & rhs
+        reason = "not-maximal" if shared else "empty-intersection"
         for d2 in self._carrier(right):
-            other = (lhs & self._side_set(right, c, d2)) - self._trivial
-            if strict_over is None:
-                if other:
-                    return d2
-            elif strict_over < other:
-                return d2
-        return None
+            if shared < lhs & self._side_set(right, c, d2):
+                return False, reason, d2, shared
+        if not shared:
+            return False, reason, None, shared
+        return True, "maximal", None, shared
 
     @staticmethod
     def _arrows(a: str, b: str, c: str, d: str) -> tuple[tuple, ...]:
@@ -401,16 +401,13 @@ def natural_solve(a: int, b: int, c: int, max_vars: int = 2
     verified as a full characteristic justification, so the result is sound;
     completeness is empirical at this bound.
     """
-    from .algebras import NaturalMultiplication
-    from .antiunify import common_gens
-
     nmul = NaturalMultiplication()
     out: dict[int, set[RewriteRule]] = {}
-    for mono in sorted(common_gens(a, c)):
+    for mono in sorted(antiunify.common_gens(a, c)):
         if not 1 <= mono.nvars <= max_vars:
             continue
         names = [f"x{i + 1}" for i in range(mono.nvars)]
-        lhs = monomial_term(mono)
+        lhs = antiunify.monomial_term(mono)
         sols_c = solution_set(lhs, c, nmul)
         if len(sols_c) != 1:
             continue
@@ -429,7 +426,7 @@ def _monomial_rhs_candidates(b: int, assignment: dict[str, int],
     def build(i: int, rest: int, exps: dict[str, int]):
         if i == len(names):
             if rest >= 1:
-                yield monomial_over(rest, exps)
+                yield antiunify.monomial_over(rest, exps)
             return
         name = names[i]
         value = assignment[name]

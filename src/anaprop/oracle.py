@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .algebras import FiniteAlgebra, eval_term
-from .decider import BehaviorState, FragmentDecider, Verdict
+from .decider import BehaviorState, FragmentDecider
 from .terms import App, RewriteRule, Signature, Term, Var, term_size, variables
 
 
@@ -32,39 +32,35 @@ def enumerate_terms(signature: Signature, k: int, ell: Optional[int],
 
     Complete and duplicate-free; ordered by depth, then by construction order.
     """
-    occs: dict[Term, tuple[int, ...]] = {}
     out: list[Term] = []
+    occs: list[tuple[int, ...]] = []  # occurrence vector of each term of out, by index
 
     def push(term: Term, occ: tuple[int, ...]) -> None:
         if ell is not None and any(n > ell for n in occ):
             return
         if limit is not None and len(out) >= limit:
             raise OracleBudgetExceeded(f"term universe exceeds {limit} terms")
-        occs[term] = occ
         out.append(term)
+        occs.append(occ)
 
     for v in range(k):
         push(Var(f"x{v + 1}"), tuple(1 if i == v else 0 for i in range(k)))
     for sym in signature.constants():
         push(App(sym), (0,) * k)
-    previous_start = 0
+    level_start = 0  # where the terms of the previous level begin
     for _ in range(depth):
-        level_start = previous_start
-        known = list(out)
-        new_start = len(out)
+        new_start = len(out)  # children come from the terms known before this level
         for sym, rank in signature.symbols():
             if rank == 0:
                 continue
-            for combo in itertools.product(range(len(known)), repeat=rank):
+            for combo in itertools.product(range(new_start), repeat=rank):
                 if all(c < level_start for c in combo):
                     continue  # no child from the previous level: depth not reached
-                occ = tuple(
-                    sum(occs[known[c]][v] for c in combo) for v in range(k)
-                )
-                push(App(sym, tuple(known[c] for c in combo)), occ)
+                occ = tuple(sum(occs[c][v] for c in combo) for v in range(k))
+                push(App(sym, tuple(out[c] for c in combo)), occ)
         if new_start == len(out):
             break
-        previous_start = new_start
+        level_start = new_start
     return out
 
 
@@ -72,10 +68,7 @@ def oracle_justifications(a: str, b: str, algebra: FiniteAlgebra, k: int,
                           ell: Optional[int], depth: int) -> set[RewriteRule]:
     """All in-fragment rules s -> t with a shared assignment sending s, t to a, b."""
     terms = enumerate_terms(algebra.signature, k, ell, depth)
-    assignments = [
-        dict(zip([f"x{i + 1}" for i in range(k)], values))
-        for values in itertools.product(algebra.carrier, repeat=k)
-    ]
+    assignments = list(algebra.assignments([f"x{i + 1}" for i in range(k)]))
     vectors = [tuple(eval_term(t, alpha, algebra) for alpha in assignments) for t in terms]
     masks = [variables(t) for t in terms]
     out: set[RewriteRule] = set()
@@ -105,10 +98,7 @@ class OracleUniverse(FragmentDecider):
             raise ValueError("the two algebras must share a signature")
         terms = enumerate_terms(first.signature, k, ell, depth, limit)
         names = [f"x{i + 1}" for i in range(k)]
-        assignments = [
-            [dict(zip(names, values)) for values in itertools.product(alg.carrier, repeat=k)]
-            for alg in algebras
-        ]
+        assignments = [list(alg.assignments(names)) for alg in algebras]
         self.automaton = SimpleNamespace(algebras=algebras, states=[], witnesses=[], sizes=[])
         seen: set[BehaviorState] = set()
         for t in terms:
@@ -132,10 +122,3 @@ class OracleUniverse(FragmentDecider):
     # tracing (perfbench/tracing.py) sees one call per decision
     decide = FragmentDecider.decide_proportion
 
-
-def oracle_decide(a: str, b: str, c: str, d: str, first: FiniteAlgebra,
-                  second: Optional[FiniteAlgebra] = None, k: int = 1,
-                  ell: Optional[int] = None, depth: int = 3,
-                  limit: Optional[int] = None) -> Verdict:
-    """One-shot reference decision of a : b :: c : d at the given depth."""
-    return OracleUniverse(first, second, k, ell, depth, limit).decide(a, b, c, d)

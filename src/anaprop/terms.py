@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 VAR_RE = re.compile(r"x[0-9]+\Z")
 
@@ -213,7 +213,7 @@ def replace_subterm(term: Term, sub: Term, replacement: Term,
 
 
 # ---------------------------------------------------------------------------
-# Canonical renaming
+# Renaming and building
 
 def _preorder_vars(term: Term) -> Iterator[str]:
     if isinstance(term, Var):
@@ -224,29 +224,9 @@ def _preorder_vars(term: Term) -> Iterator[str]:
             yield from _preorder_vars(a)
 
 
-def canonical_renaming(terms: Iterable[Term]) -> dict[str, Term]:
-    """Rename variables to x1, x2, ... by first occurrence in preorder."""
-    renaming: dict[str, Term] = {}
-    n = 0
-    for term in terms:
-        for name in _preorder_vars(term):
-            if name not in renaming:
-                n += 1
-                renaming[name] = Var(f"x{n}")
-    return renaming
-
-
-def canonical_term(term: Term) -> Term:
-    return substitute(term, canonical_renaming([term]))
-
-
-def canonical_rule(rule: RewriteRule) -> RewriteRule:
-    sigma = canonical_renaming([rule.lhs, rule.rhs])
-    return RewriteRule(substitute(rule.lhs, sigma), substitute(rule.rhs, sigma))
-
-
-def fresh_renaming(terms: Iterable[Term], avoid: set[str]) -> dict[str, Term]:
-    """Rename the variables of ``terms`` injectively away from ``avoid``."""
+def fresh_renaming(terms: Iterable[Term], avoid: Iterable[str] = ()) -> dict[str, Term]:
+    """Rename the variables of ``terms`` to x1, x2, ... by first occurrence in
+    preorder, skipping the names in ``avoid``."""
     used = set(avoid)
     renaming: dict[str, Term] = {}
     n = 0
@@ -260,6 +240,23 @@ def fresh_renaming(terms: Iterable[Term], avoid: set[str]) -> dict[str, Term]:
             renaming[name] = Var(f"x{n}")
             used.add(f"x{n}")
     return renaming
+
+
+def canonical_term(term: Term) -> Term:
+    return substitute(term, fresh_renaming([term]))
+
+
+def canonical_rule(rule: RewriteRule) -> RewriteRule:
+    sigma = fresh_renaming([rule.lhs, rule.rhs])
+    return RewriteRule(substitute(rule.lhs, sigma), substitute(rule.rhs, sigma))
+
+
+def right_nested(symbol: str, items: Sequence[Term]) -> Term:
+    """``symbol(i1, symbol(i2, ... symbol(i(n-1), in)))`` over non-empty ``items``."""
+    out = items[-1]
+    for item in reversed(items[:-1]):
+        out = App(symbol, (item, out))
+    return out
 
 
 # ---------------------------------------------------------------------------

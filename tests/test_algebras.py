@@ -107,18 +107,18 @@ class TestNormalForms:
         assert monomial_form(App("7"), int) == (7, {})
 
     @pytest.mark.parametrize("form, term, message", [
-        (linear_form, "f(x1)", "unknown symbol 'f' over integer addition"),
-        (linear_form, "+(x1,*(x1,x1))", "unknown symbol '*' over integer addition"),
-        (linear_form, "+(x1)", "'+' has rank 2"),
-        (linear_form, "+(x1,a)", "'a' is not an integer constant"),
-        (lambda t: monomial_form(t, int), "f(x1)", "unknown symbol 'f' over multiplication"),
-        (lambda t: monomial_form(t, int), "*(x1,+(x1,x1))",
-         "unknown symbol '+' over multiplication"),
-        (lambda t: monomial_form(t, int), "*(x1,x1,x1)", "'*' has rank 2"),
+        ("linear", "f(x1)", "unknown symbol 'f' over integer addition"),
+        ("linear", "+(x1,*(x1,x1))", "unknown symbol '*' over integer addition"),
+        ("linear", "+(x1)", "'+' has rank 2"),
+        ("linear", "+(x1,a)", "'a' is not an integer constant"),
+        ("monomial", "f(x1)", "unknown symbol 'f' over multiplication"),
+        ("monomial", "*(x1,+(x1,x1))", "unknown symbol '+' over multiplication"),
+        ("monomial", "*(x1,x1,x1)", "'*' has rank 2"),
     ])
     def test_messages(self, form, term, message):
+        normalize = linear_form if form == "linear" else lambda t: monomial_form(t, int)
         with pytest.raises(ValueError) as info:
-            form(parse_term(term))
+            normalize(parse_term(term))
         assert str(info.value) == message
 
 
