@@ -265,13 +265,11 @@ class TestBatchAgreesWithDecide:
                 verdict = dec.decide_arrow(*quad)
                 if verdict.reason != "maximal":
                     continue
-                least = min(size(s) + size(t) for s, t in dec.justification_classes(*quad)
-                            if not dec.is_trivial_pair(s, t))
+                least, i, j = min((size(s) + size(t), auto.index[s], auto.index[t])
+                                  for s, t in dec.justification_classes(*quad)
+                                  if not dec.is_trivial_pair(s, t))
                 assert term_size(verdict.witness.lhs) + term_size(verdict.witness.rhs) == least
                 # ties go to the least class pair (i, j)
-                _, i, j = min((size(s) + size(t), auto.index[s], auto.index[t])
-                              for s, t in dec.justification_classes(*quad)
-                              if not dec.is_trivial_pair(s, t))
                 assert verdict.witness == canonical_rule(
                     RewriteRule(auto.witnesses[i], auto.witnesses[j]))
             # decide_proportion's witness is the one of the arrow it names
