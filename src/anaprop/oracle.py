@@ -13,7 +13,7 @@ so the oracle is exact.  It is allowed to be exponential.
 """
 from __future__ import annotations
 
-import itertools
+import bisect
 from types import SimpleNamespace
 from typing import Optional
 
@@ -30,32 +30,54 @@ def enumerate_terms(signature: Signature, k: int, ell: Optional[int],
                     depth: int, limit: Optional[int] = None) -> list[Term]:
     """Every term over x1..xk within ``depth``, respecting the occurrence bound.
 
-    Complete and duplicate-free; ordered by depth, then by construction order.
+    Complete and duplicate-free; ordered by depth, then by symbol, then by the
+    child index tuple in lexicographic order.  Only admissible child tuples
+    are visited: child p is drawn from the known terms whose occurrences fit
+    within ``ell`` next to the children before it, and the last child comes
+    from the previous level when no earlier one does.  ``limit`` bounds the
+    number of terms; the first term past it raises OracleBudgetExceeded.
     """
     out: list[Term] = []
     occs: list[tuple[int, ...]] = []  # occurrence vector of each term of out, by index
 
     def push(term: Term, occ: tuple[int, ...]) -> None:
-        if ell is not None and any(n > ell for n in occ):
-            return
         if limit is not None and len(out) >= limit:
             raise OracleBudgetExceeded(f"term universe exceeds {limit} terms")
         out.append(term)
         occs.append(occ)
 
-    for v in range(k):
-        push(Var(f"x{v + 1}"), tuple(1 if i == v else 0 for i in range(k)))
+    if ell is None or ell >= 1:  # a variable occurs once in itself
+        for v in range(k):
+            push(Var(f"x{v + 1}"), tuple(1 if i == v else 0 for i in range(k)))
     for sym in signature.constants():
         push(App(sym), (0,) * k)
     level_start = 0  # where the terms of the previous level begin
     for _ in range(depth):
         new_start = len(out)  # children come from the terms known before this level
+        # occurrences still free per variable (None: unbounded) -> indices of the terms that fit
+        fitting: dict[Optional[tuple[int, ...]], list[int]] = {}
+
+        def tuples(rank: int, room: Optional[tuple[int, ...]], fresh: bool):
+            """The admissible child index tuples of length ``rank``, in lexicographic order."""
+            if room not in fitting:
+                fitting[room] = [i for i in range(new_start)
+                                 if room is None or all(n <= r for n, r in zip(occs[i], room))]
+            candidates = fitting[room]
+            if rank == 1:
+                # depth is reached only through a child from the previous level
+                start = 0 if fresh else bisect.bisect_left(candidates, level_start)
+                for c in candidates[start:]:
+                    yield (c,)
+                return
+            for c in candidates:
+                rest = None if room is None else tuple(r - n for r, n in zip(room, occs[c]))
+                for tail in tuples(rank - 1, rest, fresh or c >= level_start):
+                    yield (c, *tail)
+
         for sym, rank in signature.symbols():
             if rank == 0:
                 continue
-            for combo in itertools.product(range(new_start), repeat=rank):
-                if all(c < level_start for c in combo):
-                    continue  # no child from the previous level: depth not reached
+            for combo in tuples(rank, None if ell is None else (ell,) * k, False):
                 occ = tuple(sum(occs[c][v] for c in combo) for v in range(k))
                 push(App(sym, tuple(out[c] for c in combo)), occ)
         if new_start == len(out):

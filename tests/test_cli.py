@@ -7,7 +7,7 @@ import weakref
 import pytest
 
 from anaprop.algebras import FiniteAlgebra, algebra_to_json, save_finite_algebra
-from anaprop.cli import load_algebra, main, run
+from anaprop.cli import ORACLE_TERM_LIMIT, load_algebra, main, run
 from anaprop.oracle import OracleUniverse
 from anaprop.algebras import IntAddition, NaturalMultiplication, WordConcatenation
 
@@ -133,6 +133,20 @@ class TestDecide:
         assert out == ""
         assert "No such option" in err and "--depth" in err
 
+    def test_oracle_over_its_term_limit_is_an_input_error(self, capsys, tmp_path):
+        # six behavior states, but the oracle's terms of depth four outnumber
+        # the limit by far: without it this call ran out of memory
+        path = tmp_path / "b.json"
+        save_finite_algebra(FiniteAlgebra(
+            name="B", carrier=("e0", "e1"), constants={"c0": "e0"},
+            ops={"f": {("e0",): "e1", ("e1",): "e1"},
+                 "h": {("e0", "e0"): "e1", ("e0", "e1"): "e0",
+                       ("e1", "e0"): "e0", ("e1", "e1"): "e1"}}), str(path))
+        argv = ["decide", "e0", "e1", "e0", "e1", "--algebra", str(path)]
+        assert invoke(capsys, *argv, "--engine", "oracle") == (
+            2, "", f"error: term universe exceeds {ORACLE_TERM_LIMIT} terms; use --engine auto\n")
+        assert invoke(capsys, *argv)[0] == 0
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_k_below_one_is_a_usage_error(self, capsys, a2_path, k):
         status, out, err = invoke(
@@ -163,6 +177,10 @@ class TestSolve:
     def test_nmul_unbounded_occurrences_run_the_full_framework(self, capsys):
         assert (invoke(capsys, "solve", "20", "4", "30", "--algebra", "nmul", "--l", "inf")
                 == invoke(capsys, "solve", "20", "4", "30", "--algebra", "nmul"))
+
+    def test_nmul_full_framework_takes_no_k(self, capsys):
+        assert invoke(capsys, "solve", "2", "3", "4", "--algebra", "nmul", "--k", "5") == (
+            2, "", "error: solving over nmul in the full framework takes no --k; leave it out\n")
 
     def test_nmul_monolinear(self, capsys):
         status, out, _ = invoke(

@@ -310,6 +310,64 @@ class TestOracleEnumeration:
         with pytest.raises(OracleBudgetExceeded):
             enumerate_terms(Signature({"f": 2, "a": 0}), 2, None, 4, limit=50)
 
+    @staticmethod
+    def _product_reference(signature, k, ell, depth, limit):
+        """Every child tuple of every level in lexicographic order, dropping the
+        tuples with no child from the previous level and the terms over the
+        occurrence bound; the budget counts admitted terms only."""
+        out, occs = [], []
+
+        def push(term, occ):
+            if ell is not None and any(n > ell for n in occ):
+                return
+            if len(out) >= limit:
+                raise OracleBudgetExceeded
+            out.append(term)
+            occs.append(occ)
+
+        for v in range(k):
+            push(Var(f"x{v + 1}"), tuple(1 if i == v else 0 for i in range(k)))
+        for sym in signature.constants():
+            push(App(sym), (0,) * k)
+        level_start = 0
+        for _ in range(depth):
+            new_start = len(out)
+            for sym, rank in signature.symbols():
+                if rank == 0:
+                    continue
+                for combo in itertools.product(range(new_start), repeat=rank):
+                    if all(c < level_start for c in combo):
+                        continue
+                    occ = tuple(sum(occs[c][v] for c in combo) for v in range(k))
+                    push(App(sym, tuple(out[c] for c in combo)), occ)
+            if new_start == len(out):
+                break
+            level_start = new_start
+        return out
+
+    def test_matches_product_reference(self):
+        from anaprop.terms import Signature
+
+        def outcome(enumerate_, *args):
+            try:
+                return enumerate_(*args)
+            except OracleBudgetExceeded:
+                return "over budget"
+
+        rng = random.Random(808)
+        over = 0
+        for case in range(400):
+            ranks = {name: rng.randint(1, 3) for name in rng.sample("fgh", rng.randint(1, 2))}
+            ranks.update((name, 0) for name in rng.sample("ab", rng.randint(0, 2)))
+            signature = Signature(ranks)
+            k, ell = rng.choice([0, 1, 2]), rng.choice([1, 2, None])
+            depth, limit = rng.randint(1, 20), rng.randint(20, 200)
+            want = outcome(self._product_reference, signature, k, ell, depth, limit)
+            assert outcome(enumerate_terms, signature, k, ell, depth, limit) == want, (
+                case, ranks, k, ell, depth, limit)
+            over += want == "over budget"
+        assert 100 < over < 300
+
 
 class TestOracleJustifications:
     def test_a2_arrow_a_b(self):
