@@ -48,6 +48,7 @@ from .closedform import (
 from .decider import (
     FragmentDecider,
     StateCapExceeded,
+    check_same_signature,
     natural_solve,
     verify_characteristic,
 )
@@ -144,6 +145,7 @@ l_option = click.option("--l", "ell", default=None,
 engine_option = click.option("--engine", default="auto", show_default=True,
                              type=click.Choice(["auto", "oracle"]))
 cap_option = click.option("--cap", default=10 ** 6, show_default=True,
+                          type=click.IntRange(min=1),
                           help="behavior-state cap for the automata engine")
 tokens_option = click.option("--tokens", is_flag=True,
                              help="read words as space-separated multi-character symbols")
@@ -163,8 +165,10 @@ def main(ctx: click.Context, fmt: str) -> None:
 def _load_pair(spec1: str, spec2: Optional[str], allow_empty: bool):
     first = load_algebra(spec1, allow_empty)
     second = load_algebra(spec2, allow_empty) if spec2 else None
-    if second is not None and not (first.is_finite and second.is_finite):
-        raise ValueError("--algebra2 is supported for finite algebras only")
+    if second is not None:
+        if not (first.is_finite and second.is_finite):
+            raise ValueError("--algebra2 is supported for finite algebras only")
+        check_same_signature(first, second)
     return first, second
 
 

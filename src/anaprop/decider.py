@@ -11,6 +11,7 @@ the proportion definition become finite set comparisons.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -24,7 +25,7 @@ from .algebras import (
     in_unity_set,
     solution_set,
 )
-from .terms import App, RewriteRule, Term, Var, canonical_rule, variables
+from .terms import App, RewriteRule, Signature, Term, Var, canonical_rule, variables
 
 
 class StateCapExceeded(Exception):
@@ -56,21 +57,60 @@ def _arrow_label(a: str, b: str, c: str, d: str) -> str:
     return f"{a}->{b} :. {c}->{d}"
 
 
+def check_same_signature(first: FiniteAlgebra, *others: FiniteAlgebra) -> None:
+    """Refuse algebras whose signature differs from the first one's."""
+    for other in others:
+        if other.signature.ranks != first.signature.ranks:
+            raise ValueError(
+                f"algebras {first.name!r} and {other.name!r} have different signatures")
+
+
+def child_tuples(signature: Signature, k: int, ell: Optional[int],
+                 occs: list[tuple[int, ...]], level_start: int
+                 ) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """The admissible ``(symbol, children)`` of one level, by symbol, then lexicographically.
+
+    Children index ``occs``, the occurrence vectors of the terms known before
+    the level.  Only admissible tuples are visited: child p is drawn from the
+    terms whose occurrences fit within ``ell`` next to the children before it,
+    and the last child from the previous level (at or past ``level_start``)
+    when no earlier one is.
+    """
+    # occurrences still free per variable (None: unbounded) -> indices of the terms that fit
+    fitting: dict[Optional[tuple[int, ...]], list[int]] = {}
+
+    def tuples(rank: int, room: Optional[tuple[int, ...]], fresh: bool):
+        if room not in fitting:
+            fitting[room] = [i for i, occ in enumerate(occs)
+                             if room is None or all(n <= r for n, r in zip(occ, room))]
+        candidates = fitting[room]
+        if rank == 1:
+            start = 0 if fresh else bisect.bisect_left(candidates, level_start)
+            for c in candidates[start:]:
+                yield (c,)
+            return
+        for c in candidates:
+            rest = None if room is None else tuple(r - n for r, n in zip(room, occs[c]))
+            for tail in tuples(rank - 1, rest, fresh or c >= level_start):
+                yield (c, *tail)
+
+    room = None if ell is None else (ell,) * k
+    for sym, rank in signature.symbols():
+        if rank:
+            yield from ((sym, combo) for combo in tuples(rank, room, False))
+
+
 class BehaviorAutomaton:
-    """Reachable joint behavior states of one or more same-signature algebras."""
+    """Reachable joint behavior states of one or more same-signature algebras,
+    closed round by round over the child tuples of ``child_tuples``."""
 
     def __init__(self, algebras: tuple[FiniteAlgebra, ...], k: int,
                  ell: Optional[int] = None, cap: int = 10 ** 6):
         if not algebras:
             raise ValueError("need at least one algebra")
-        sig = algebras[0].signature
-        for other in algebras[1:]:
-            if other.signature.ranks != sig.ranks:
-                raise ValueError(
-                    f"algebras {algebras[0].name!r} and {other.name!r} have different signatures"
-                )
+        check_same_signature(*algebras)
         self.algebras = algebras
-        self.signature = sig
+        self.signature = algebras[0].signature
         self.k = k
         self.ell = ell
         self.cap = cap
@@ -95,26 +135,20 @@ class BehaviorAutomaton:
         ]
         self._build()
 
-    def _add(self, state: BehaviorState, witness: Term,
-             children: tuple[int, ...] = ()) -> Optional[int]:
-        if self.ell is not None and any(n > self.ell for n in state.occ):
-            return None
-        got = self.index.get(state)
-        if got is not None:
-            return got
+    def _add(self, state: BehaviorState, witness: Term, children: tuple[int, ...] = ()) -> None:
+        if state in self.index:
+            return
         if len(self.states) >= self.cap:
             raise StateCapExceeded(
                 f"behavior state space exceeds the cap of {self.cap} states"
             )
-        idx = len(self.states)
-        self.index[state] = idx
+        self.index[state] = len(self.states)
         self.states.append(state)
         self.witnesses.append(witness)
         self.sizes.append(1 + sum(self.sizes[c] for c in children))
-        return idx
 
     def _leaf_states(self) -> None:
-        for v in range(self.k):
+        for v in range(self.k if self.ell is None or self.ell >= 1 else 0):
             tables = tuple(
                 tuple(alpha[v] for alpha in self.assignments[m])
                 for m in range(len(self.algebras))
@@ -128,13 +162,11 @@ class BehaviorAutomaton:
             )
             self._add(BehaviorState(tables, (0,) * self.k), App(sym))
 
-    def _combine(self, symbol: str, children: tuple[int, ...]) -> Optional[int]:
+    def _combine(self, symbol: str, children: tuple[int, ...]) -> None:
         states = [self.states[c] for c in children]
         occ = tuple(
             min(sum(s.occ[v] for s in states), self._occ_cap) for v in range(self.k)
         )
-        if self.ell is not None and any(n > self.ell for n in occ):
-            return None
         tables = tuple(
             tuple(
                 self._op_tables[m][symbol][tuple(s.tables[m][j] for s in states)]
@@ -143,22 +175,16 @@ class BehaviorAutomaton:
             for m in range(len(self.algebras))
         )
         witness = App(symbol, tuple(self.witnesses[c] for c in children))
-        return self._add(BehaviorState(tables, occ), witness, children)
+        self._add(BehaviorState(tables, occ), witness, children)
 
     def _build(self) -> None:
         self._leaf_states()
-        frontier = set(range(len(self.states)))
-        while frontier:
-            old = len(self.states)
-            known = range(old)
-            for sym, rank in self.signature.symbols():
-                if rank == 0:
-                    continue
-                for combo in itertools.product(known, repeat=rank):
-                    if frontier.isdisjoint(combo):
-                        continue
-                    self._combine(sym, combo)
-            frontier = set(range(old, len(self.states)))
+        level_start = 0
+        while level_start < len(self.states):
+            occs = [s.occ for s in self.states]
+            for sym, combo in child_tuples(self.signature, self.k, self.ell, occs, level_start):
+                self._combine(sym, combo)
+            level_start = len(occs)
 
     @property
     def state_count(self) -> int:
@@ -391,20 +417,24 @@ def verify_characteristic(rule: RewriteRule, a, b, c, d,
     return True
 
 
-def natural_solve(a: int, b: int, c: int, max_vars: int = 2
-                  ) -> dict[int, set[RewriteRule]]:
+# Variables a left-hand side of natural_solve may use
+NATURAL_SOLVE_MAX_VARS = 2
+
+
+def natural_solve(a: int, b: int, c: int) -> dict[int, set[RewriteRule]]:
     """Full-framework solutions of a : b :: c : x over the naturals >= 2.
 
     Bounded search over monomial rules: left-hand sides are shared monomial
-    generalizations of a and c with a unique solution at c; right-hand sides
-    reuse the same variables with coefficients dividing b.  Every candidate is
-    verified as a full characteristic justification, so the result is sound;
-    completeness is empirical at this bound.
+    generalizations of a and c with one to NATURAL_SOLVE_MAX_VARS (2)
+    variables and a unique solution at c; right-hand sides reuse the same
+    variables with coefficients dividing b.  Every candidate is verified as a
+    full characteristic justification, so the result is sound; completeness
+    is empirical at this bound.
     """
     nmul = NaturalMultiplication()
     out: dict[int, set[RewriteRule]] = {}
     for mono in sorted(antiunify.common_gens(a, c)):
-        if not 1 <= mono.nvars <= max_vars:
+        if not 1 <= mono.nvars <= NATURAL_SOLVE_MAX_VARS:
             continue
         names = [f"x{i + 1}" for i in range(mono.nvars)]
         lhs = antiunify.monomial_term(mono)

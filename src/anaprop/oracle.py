@@ -13,12 +13,11 @@ so the oracle is exact.  It is allowed to be exponential.
 """
 from __future__ import annotations
 
-import bisect
 from types import SimpleNamespace
 from typing import Optional
 
 from .algebras import FiniteAlgebra, eval_term
-from .decider import BehaviorState, FragmentDecider
+from .decider import BehaviorState, FragmentDecider, check_same_signature, child_tuples
 from .terms import App, RewriteRule, Signature, Term, Var, term_size, variables
 
 
@@ -31,11 +30,9 @@ def enumerate_terms(signature: Signature, k: int, ell: Optional[int],
     """Every term over x1..xk within ``depth``, respecting the occurrence bound.
 
     Complete and duplicate-free; ordered by depth, then by symbol, then by the
-    child index tuple in lexicographic order.  Only admissible child tuples
-    are visited: child p is drawn from the known terms whose occurrences fit
-    within ``ell`` next to the children before it, and the last child comes
-    from the previous level when no earlier one does.  ``limit`` bounds the
-    number of terms; the first term past it raises OracleBudgetExceeded.
+    child index tuple in lexicographic order; only the admissible tuples of
+    ``child_tuples`` are visited.  ``limit`` bounds the number of terms; the
+    first term past it raises OracleBudgetExceeded.
     """
     out: list[Term] = []
     occs: list[tuple[int, ...]] = []  # occurrence vector of each term of out, by index
@@ -54,32 +51,9 @@ def enumerate_terms(signature: Signature, k: int, ell: Optional[int],
     level_start = 0  # where the terms of the previous level begin
     for _ in range(depth):
         new_start = len(out)  # children come from the terms known before this level
-        # occurrences still free per variable (None: unbounded) -> indices of the terms that fit
-        fitting: dict[Optional[tuple[int, ...]], list[int]] = {}
-
-        def tuples(rank: int, room: Optional[tuple[int, ...]], fresh: bool):
-            """The admissible child index tuples of length ``rank``, in lexicographic order."""
-            if room not in fitting:
-                fitting[room] = [i for i in range(new_start)
-                                 if room is None or all(n <= r for n, r in zip(occs[i], room))]
-            candidates = fitting[room]
-            if rank == 1:
-                # depth is reached only through a child from the previous level
-                start = 0 if fresh else bisect.bisect_left(candidates, level_start)
-                for c in candidates[start:]:
-                    yield (c,)
-                return
-            for c in candidates:
-                rest = None if room is None else tuple(r - n for r, n in zip(room, occs[c]))
-                for tail in tuples(rank - 1, rest, fresh or c >= level_start):
-                    yield (c, *tail)
-
-        for sym, rank in signature.symbols():
-            if rank == 0:
-                continue
-            for combo in tuples(rank, None if ell is None else (ell,) * k, False):
-                occ = tuple(sum(occs[c][v] for c in combo) for v in range(k))
-                push(App(sym, tuple(out[c] for c in combo)), occ)
+        for sym, combo in child_tuples(signature, k, ell, occs[:new_start], level_start):
+            occ = tuple(sum(occs[c][v] for c in combo) for v in range(k))
+            push(App(sym, tuple(out[c] for c in combo)), occ)
         if new_start == len(out):
             break
         level_start = new_start
@@ -116,8 +90,7 @@ class OracleUniverse(FragmentDecider):
                  k: int = 1, ell: Optional[int] = None, depth: int = 3,
                  limit: Optional[int] = None):
         algebras = self._set_pair(first, second)
-        if self.second.signature.ranks != first.signature.ranks:
-            raise ValueError("the two algebras must share a signature")
+        check_same_signature(first, self.second)
         terms = enumerate_terms(first.signature, k, ell, depth, limit)
         names = [f"x{i + 1}" for i in range(k)]
         assignments = [list(alg.assignments(names)) for alg in algebras]

@@ -156,6 +156,14 @@ class TestDecide:
         assert out == ""
         assert "--k" in err and "x>=1" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [["decide", "a", "b", "a", "b"], ["solve", "a", "b", "a"],
+                                      ["enumerate"]])
+    def test_cap_below_one_is_a_usage_error(self, capsys, a2_path, argv, value):
+        status, out, err = invoke(capsys, *argv, "--algebra", a2_path, "--cap", value)
+        assert (status, out) == (2, "")
+        assert "--cap" in err and "x>=1" in err
+
     def test_witness_of_another_arrow_is_named(self, capsys, tmp_path):
         path = tmp_path / "c.json"
         save_finite_algebra(FiniteAlgebra(name="C", carrier=("e0", "e1", "e2"),
@@ -294,6 +302,14 @@ class TestCheckRule:
         )
         assert status == 0
         assert out.startswith("characteristic justification")
+
+    def test_finite_pair_with_different_signatures_is_refused(self, capsys, a2_path, tmp_path):
+        a1_path = tmp_path / "a1.json"
+        save_finite_algebra(FiniteAlgebra(name="A1", carrier=("a", "b", "c", "d")), str(a1_path))
+        pair = ["--algebra", a2_path, "--algebra2", str(a1_path)]
+        refused = (2, "", "error: algebras 'A2' and 'A1' have different signatures\n")
+        assert invoke(capsys, "check-rule", "x1 -> x1", "a", "a", "a", "a", *pair) == refused
+        assert invoke(capsys, "decide", "a", "a", "a", "a", *pair) == refused
 
     @pytest.mark.parametrize("rule", ["x1bx2", "x1 -> b -> x1"])
     def test_word_rule_needs_one_arrow(self, capsys, rule):

@@ -15,6 +15,7 @@ from anaprop.algebras import (
 )
 from anaprop.decider import (
     BehaviorAutomaton,
+    BehaviorState,
     FragmentDecider,
     StateCapExceeded,
     behavior_automaton,
@@ -367,6 +368,82 @@ class TestOracleEnumeration:
                 case, ranks, k, ell, depth, limit)
             over += want == "over budget"
         assert 100 < over < 300
+
+
+class TestAutomatonClosure:
+    @staticmethod
+    def _product_reference(algebras, k, ell, cap):
+        """The closure as a product scan: every round visits every child tuple
+        over the known states in lexicographic order, drops the tuples with no
+        child from the last round's new states, and drops the states over the
+        occurrence bound; the cap counts admitted states only."""
+        signature = algebras[0].signature
+        alphas = [list(itertools.product(range(len(alg.carrier)), repeat=k)) for alg in algebras]
+        ops = [{sym: {tuple(alg.index(x) for x in args): alg.index(res)
+                      for args, res in table.items()}
+                for sym, table in alg.ops.items()} for alg in algebras]
+        states, index, witnesses, sizes = [], {}, [], []
+
+        def add(state, witness, children=()):
+            if (ell is not None and any(n > ell for n in state.occ)) or state in index:
+                return
+            if len(states) >= cap:
+                raise StateCapExceeded
+            index[state] = len(states)
+            states.append(state)
+            witnesses.append(witness)
+            sizes.append(1 + sum(sizes[c] for c in children))
+
+        for v in range(k):
+            add(BehaviorState(tuple(tuple(alpha[v] for alpha in rows) for rows in alphas),
+                              tuple(int(i == v) for i in range(k))), Var(f"x{v + 1}"))
+        for sym in signature.constants():
+            add(BehaviorState(tuple(tuple(alg.index(alg.constants[sym]) for _ in rows)
+                                    for alg, rows in zip(algebras, alphas)), (0,) * k), App(sym))
+        occ_cap = 1 if ell is None else ell + 1
+        frontier = set(range(len(states)))
+        while frontier:
+            old = len(states)
+            for sym, rank in signature.symbols():
+                if rank == 0:
+                    continue
+                for combo in itertools.product(range(old), repeat=rank):
+                    if frontier.isdisjoint(combo):
+                        continue
+                    children = [states[c] for c in combo]
+                    occ = tuple(min(sum(s.occ[v] for s in children), occ_cap) for v in range(k))
+                    tables = tuple(
+                        tuple(ops[m][sym][tuple(s.tables[m][j] for s in children)]
+                              for j in range(len(alphas[m])))
+                        for m in range(len(algebras)))
+                    add(BehaviorState(tables, occ), App(sym, tuple(witnesses[c] for c in combo)),
+                        combo)
+            frontier = set(range(old, len(states)))
+        return states, [str(w) for w in witnesses], sizes
+
+    def test_matches_product_reference(self):
+        def outcome(build, *args):
+            try:
+                return build(*args)
+            except StateCapExceeded:
+                return "over cap"
+
+        def automaton(algebras, k, ell, cap):
+            auto = BehaviorAutomaton(algebras, k, ell, cap)
+            return auto.states, [str(w) for w in auto.witnesses], auto.sizes
+
+        rng = random.Random(909)
+        over = pairs = 0
+        for case in range(120):
+            first, second = random_algebra_pair(rng, max_size=3)
+            algebras = (first,) if second is first else (first, second)
+            k, ell = rng.choice([0, 1, 2]), rng.choice([None, 0, 1, 2])
+            cap = rng.randint(100, 300)
+            want = outcome(self._product_reference, algebras, k, ell, cap)
+            assert outcome(automaton, algebras, k, ell, cap) == want, (case, k, ell, cap)
+            over += want == "over cap"
+            pairs += len(algebras) == 2
+        assert 5 < over < 60 and 20 < pairs < 100
 
 
 class TestOracleJustifications:
