@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .algebras import FiniteAlgebra, divisors, eval_term
-from .terms import App, Term, Var, canonical_term, right_nested, variables
+from .algebras import FiniteAlgebra, divisors
+from .terms import App, Term, Var, canonical_term, right_nested
 
 _VAR_LETTERS = "xyzvwpqrst"
 
@@ -216,14 +216,12 @@ def mgg(a: int, b: int) -> set[Monomial]:
 
 def bounded_gens(value, algebra: FiniteAlgebra, k: int, depth: int) -> set[Term]:
     """All terms to the given depth with <= k variables that can evaluate to ``value``."""
-    from .oracle import enumerate_terms
+    from .oracle import enumerate_fragment, term_tables
 
-    out: set[Term] = set()
-    for term in enumerate_terms(algebra.signature, k, None, depth):
-        names = sorted(variables(term))
-        if any(
-            eval_term(term, alpha, algebra) == value
-            for alpha in algebra.assignments(names)
-        ):
-            out.add(canonical_term(term))
-    return out
+    terms, children, _ = enumerate_fragment(algebra.signature, k, None, depth)
+    if value not in algebra.carrier:
+        return set()
+    target = algebra.index(value)
+    return {canonical_term(term)
+            for term, table in zip(terms, term_tables(algebra, k, terms, children))
+            if target in table}

@@ -28,6 +28,9 @@ from .algebras import (
 from .terms import App, RewriteRule, Signature, Term, Var, canonical_rule, variables
 
 
+_EMPTY: frozenset[int] = frozenset()
+
+
 class StateCapExceeded(Exception):
     """The reachable behavior-state space outgrew the configured cap."""
 
@@ -63,6 +66,21 @@ def check_same_signature(first: FiniteAlgebra, *others: FiniteAlgebra) -> None:
         if other.signature.ranks != first.signature.ranks:
             raise ValueError(
                 f"algebras {first.name!r} and {other.name!r} have different signatures")
+
+
+def check_occurrence_bound(ell: Optional[int]) -> None:
+    """Refuse a negative occurrence bound: no term has fewer than 0 occurrences."""
+    if ell is not None and ell < 0:
+        raise ValueError(f"the occurrence bound l must be at least 0, got {ell}")
+
+
+def index_tables(algebra: FiniteAlgebra) -> dict[str, dict[tuple[int, ...], int]]:
+    """Each operation's table over carrier indices."""
+    return {
+        sym: {tuple(algebra.index(x) for x in args): algebra.index(res)
+              for args, res in table.items()}
+        for sym, table in algebra.ops.items()
+    }
 
 
 def child_tuples(signature: Signature, k: int, ell: Optional[int],
@@ -109,6 +127,7 @@ class BehaviorAutomaton:
         if not algebras:
             raise ValueError("need at least one algebra")
         check_same_signature(*algebras)
+        check_occurrence_bound(ell)
         self.algebras = algebras
         self.signature = algebras[0].signature
         self.k = k
@@ -123,16 +142,7 @@ class BehaviorAutomaton:
         self.index: dict[BehaviorState, int] = {}
         self.witnesses: list[Term] = []
         self.sizes: list[int] = []  # term_size of each state's witness
-        self._op_tables = [
-            {
-                sym: {
-                    tuple(alg.index(x) for x in args): alg.index(res)
-                    for args, res in table.items()
-                }
-                for sym, table in alg.ops.items()
-            }
-            for alg in algebras
-        ]
+        self._op_tables = [index_tables(alg) for alg in algebras]
         self._build()
 
     def _add(self, state: BehaviorState, witness: Term, children: tuple[int, ...] = ()) -> None:
@@ -217,8 +227,10 @@ class FragmentDecider:
         self.sides = (0, 0) if same else (0, 1)
         self._pairs_built = False
         self._valid_pairs: list[tuple[int, int]] = []
-        self._by_side: list[dict[tuple[str, str], frozenset[int]]] = []
+        # per side of the proportion: (x, y) -> the class pairs justifying x -> y
+        self._side_sets: tuple[dict[tuple[str, str], frozenset[int]], ...] = ()
         self._trivial: frozenset[int] = frozenset()
+        self._rules: dict[int, RewriteRule] = {}  # canonical rule of each pair asked for
         return (first,) if same else (first, self.second)
 
     # -- class-pair universe ------------------------------------------------
@@ -251,23 +263,21 @@ class FragmentDecider:
                 if is_trivial:
                     trivial.add(pid)
         self._valid_pairs = pair_ids
-        self._by_side = [
-            {key: frozenset(v) for key, v in side.items()} for side in by_side
-        ]
+        frozen = [{key: frozenset(v) for key, v in side.items()} for side in by_side]
+        self._side_sets = tuple(frozen[m] for m in self.sides)
         self._trivial = frozenset(trivial)
         self._pairs_built = True
-
-    def _side_set(self, side: int, a: str, b: str) -> frozenset[int]:
-        return self._by_side[self.sides[side]].get((a, b), frozenset())
 
     def _carrier(self, side: int) -> tuple[str, ...]:
         return self.automaton.algebras[self.sides[side]].carrier
 
     def _rule_for(self, pid: int) -> RewriteRule:
-        i, j = self._valid_pairs[pid]
-        return canonical_rule(
-            RewriteRule(self.automaton.witnesses[i], self.automaton.witnesses[j])
-        )
+        rule = self._rules.get(pid)
+        if rule is None:
+            i, j = self._valid_pairs[pid]
+            witnesses = self.automaton.witnesses
+            rule = self._rules[pid] = canonical_rule(RewriteRule(witnesses[i], witnesses[j]))
+        return rule
 
     def _smallest_rule(self, pids: frozenset[int]) -> RewriteRule:
         """The rule of the pair with the least witness size, then the least (i, j)."""
@@ -281,7 +291,8 @@ class FragmentDecider:
                               ) -> set[tuple[BehaviorState, BehaviorState]]:
         """The class pairs representing the shared justification set."""
         self._build_pairs()
-        pids = self._side_set(0, a, b) & self._side_set(1, c, d)
+        left, right = self._side_sets
+        pids = left.get((a, b), _EMPTY) & right.get((c, d), _EMPTY)
         return {
             (self.automaton.states[i], self.automaton.states[j])
             for i, j in (self._valid_pairs[p] for p in pids)
@@ -303,15 +314,16 @@ class FragmentDecider:
 
         The counter is the first d2 whose shared set strictly contains
         ``shared``; for an empty ``shared`` that is the first non-empty one."""
-        lhs = self._side_set(left, a, b)
-        rhs = self._side_set(right, c, d)
+        sides = self._side_sets
+        lhs = sides[left].get((a, b), _EMPTY)
+        rhs = sides[right].get((c, d), _EMPTY)
         if lhs <= self._trivial and rhs <= self._trivial:
             return True, "all-trivial", None, frozenset()
         lhs = lhs - self._trivial
         shared = lhs & rhs
         reason = "not-maximal" if shared else "empty-intersection"
         for d2 in self._carrier(right):
-            if shared < lhs & self._side_set(right, c, d2):
+            if shared < lhs & sides[right].get((c, d2), _EMPTY):
                 return False, reason, d2, shared
         if not shared:
             return False, reason, None, shared

@@ -1,28 +1,126 @@
 """Brute-force reference for the behavior classes of the finite-algebra decider.
 
 Enumerates every term of the fragment up to a depth bound, evaluates each one
-directly under every assignment, and groups the terms by the observed value
-tables and variable sets.  Those observation classes replace the behavior
-automaton's states; the class-pair index and the arrow decision are the
-decider's own.  So the oracle checks the automaton's classes by direct term
-evaluation, not the decision code; the literal transcription of the arrow
-definition over sets of rules lives in the test suite (``tests/test_decider.py``,
-``TestLiteralReference``).  With the depth set to at least the number of
-reachable behavior states, every behavior class is realized within the bound,
-so the oracle is exact.  It is allowed to be exponential.
+under every assignment (from its children's values, through the operation
+tables), and groups the terms by the observed value tables and variable sets.
+Those observation classes replace the behavior automaton's states; the
+class-pair index and the arrow decision are the decider's own.  So the oracle
+checks the automaton's classes by evaluating concrete terms, not the decision
+code; the literal transcription of the arrow definition over sets of rules
+lives in the test suite (``tests/test_decider.py``, ``TestLiteralReference``).
+With the depth set to at least the number of reachable behavior states, every
+behavior class is realized within the bound, so the oracle is exact.  It is
+allowed to be exponential; a budget on the number of terms is checked by
+counting them (``count_terms``) before any is built.
 """
 from __future__ import annotations
 
+import itertools
 from types import SimpleNamespace
 from typing import Optional
 
-from .algebras import FiniteAlgebra, eval_term
-from .decider import BehaviorState, FragmentDecider, check_same_signature, child_tuples
-from .terms import App, RewriteRule, Signature, Term, Var, term_size, variables
+from .algebras import FiniteAlgebra
+from .decider import (BehaviorState, FragmentDecider, check_occurrence_bound,
+                      check_same_signature, child_tuples, index_tables)
+from .terms import App, RewriteRule, Signature, Term, Var
 
 
 class OracleBudgetExceeded(Exception):
     """The enumerated term universe outgrew the configured limit."""
+
+
+def count_terms(signature: Signature, k: int, ell: Optional[int], depth: int,
+                limit: Optional[int] = None) -> int:
+    """The number of terms ``enumerate_terms`` lists, counted with no term built.
+
+    Counts level by level, and under a finite ``ell`` by occurrence vector:
+    a level's terms of one symbol are its child tuples over the terms known
+    before the level, less those over the terms known before the previous
+    level.  Stops once the count passes ``limit`` and returns it as it stands.
+    """
+    check_occurrence_bound(ell)
+    dims = 0 if ell is None else k  # occurrences matter only under a bound
+
+    def combine(x: dict, y: dict) -> dict:
+        out: dict[tuple[int, ...], int] = {}
+        for u, m in x.items():
+            for w, n in y.items():
+                key = tuple(p + q for p, q in zip(u, w))
+                if ell is None or all(c <= ell for c in key):
+                    out[key] = out.get(key, 0) + m * n
+        return out
+
+    def tuples(terms: dict, rank: int) -> dict:
+        out = {(0,) * dims: 1}
+        for _ in range(rank):
+            out = combine(out, terms)
+        return out
+
+    level: dict[tuple[int, ...], int] = {}  # the previous level's terms, by occurrence vector
+    if ell is None or ell >= 1:
+        for v in range(k):
+            key = tuple(int(i == v) for i in range(dims))
+            level[key] = level.get(key, 0) + 1
+    if signature.constants():
+        level[(0,) * dims] = level.get((0,) * dims, 0) + len(signature.constants())
+    ranks: dict[int, int] = {}  # rank -> number of symbols of that rank
+    for _, rank in signature.symbols():
+        if rank:
+            ranks[rank] = ranks.get(rank, 0) + 1
+    total = sum(level.values())
+    known: dict[tuple[int, ...], int] = {}  # the terms before the previous level
+    older = {rank: {} for rank in ranks}  # their child tuples, by rank
+    for _ in range(depth):
+        if not level or (limit is not None and total > limit):
+            break
+        for key, n in level.items():
+            known[key] = known.get(key, 0) + n
+        level = {}
+        for rank, symbols in ranks.items():
+            fresh = tuples(known, rank)
+            for key, n in fresh.items():
+                n -= older[rank].get(key, 0)
+                if n:
+                    level[key] = level.get(key, 0) + symbols * n
+            older[rank] = fresh
+        total += sum(level.values())
+    return total
+
+
+def enumerate_fragment(signature: Signature, k: int, ell: Optional[int], depth: int,
+                       limit: Optional[int] = None
+                       ) -> tuple[list[Term], list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The terms of ``enumerate_terms`` with each one's child indices and occurrence vector.
+
+    With a ``limit``, the terms are counted first (``count_terms``), and a
+    universe of more terms raises OracleBudgetExceeded before any is built.
+    """
+    check_occurrence_bound(ell)
+    if limit is not None and count_terms(signature, k, ell, depth, limit) > limit:
+        raise OracleBudgetExceeded(f"term universe exceeds {limit} terms")
+    terms: list[Term] = []
+    children: list[tuple[int, ...]] = []
+    occs: list[tuple[int, ...]] = []
+    if ell is None or ell >= 1:  # a variable occurs once in itself
+        for v in range(k):
+            terms.append(Var(f"x{v + 1}"))
+            children.append(())
+            occs.append(tuple(1 if i == v else 0 for i in range(k)))
+    for sym in signature.constants():
+        terms.append(App(sym))
+        children.append(())
+        occs.append((0,) * k)
+    level_start = 0  # where the terms of the previous level begin
+    for _ in range(depth):
+        new_start = len(terms)  # children come from the terms known before this level
+        for sym, combo in child_tuples(signature, k, ell, occs[:new_start], level_start):
+            terms.append(App(sym, tuple(terms[c] for c in combo)))
+            children.append(combo)
+            occs.append(tuple(sum(occs[c][v] for c in combo) for v in range(k)))
+        if new_start == len(terms):
+            break
+        level_start = new_start
+    return terms, children, occs
 
 
 def enumerate_terms(signature: Signature, k: int, ell: Optional[int],
@@ -31,48 +129,50 @@ def enumerate_terms(signature: Signature, k: int, ell: Optional[int],
 
     Complete and duplicate-free; ordered by depth, then by symbol, then by the
     child index tuple in lexicographic order; only the admissible tuples of
-    ``child_tuples`` are visited.  ``limit`` bounds the number of terms; the
-    first term past it raises OracleBudgetExceeded.
+    ``child_tuples`` are visited.  ``limit`` bounds the number of terms; a
+    universe of more raises OracleBudgetExceeded.
     """
-    out: list[Term] = []
-    occs: list[tuple[int, ...]] = []  # occurrence vector of each term of out, by index
+    return enumerate_fragment(signature, k, ell, depth, limit)[0]
 
-    def push(term: Term, occ: tuple[int, ...]) -> None:
-        if limit is not None and len(out) >= limit:
-            raise OracleBudgetExceeded(f"term universe exceeds {limit} terms")
-        out.append(term)
-        occs.append(occ)
 
-    if ell is None or ell >= 1:  # a variable occurs once in itself
-        for v in range(k):
-            push(Var(f"x{v + 1}"), tuple(1 if i == v else 0 for i in range(k)))
-    for sym in signature.constants():
-        push(App(sym), (0,) * k)
-    level_start = 0  # where the terms of the previous level begin
-    for _ in range(depth):
-        new_start = len(out)  # children come from the terms known before this level
-        for sym, combo in child_tuples(signature, k, ell, occs[:new_start], level_start):
-            occ = tuple(sum(occs[c][v] for c in combo) for v in range(k))
-            push(App(sym, tuple(out[c] for c in combo)), occ)
-        if new_start == len(out):
-            break
-        level_start = new_start
+def term_tables(algebra: FiniteAlgebra, k: int, terms: list[Term],
+                children: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Each term's values under every assignment of x1..xk, as carrier indices.
+
+    Assignments are in the order of ``algebra.assignments``.  A term's table
+    comes from its children's through the operation table, so ``children``
+    must index earlier terms, as ``enumerate_fragment``'s do.
+    """
+    assignments = list(itertools.product(range(len(algebra.carrier)), repeat=k))
+    columns = {f"x{v + 1}": column for v, column in enumerate(zip(*assignments))}
+    ops = index_tables(algebra)
+    out: list[tuple[int, ...]] = []
+    for term, combo in zip(terms, children):
+        if combo:
+            op = ops[term.symbol]
+            out.append(tuple(map(op.__getitem__, zip(*[out[c] for c in combo]))))
+        elif isinstance(term, Var):
+            out.append(columns[term.name])
+        else:
+            out.append((algebra.index(algebra.constants[term.symbol]),) * len(assignments))
     return out
 
 
 def oracle_justifications(a: str, b: str, algebra: FiniteAlgebra, k: int,
                           ell: Optional[int], depth: int) -> set[RewriteRule]:
     """All in-fragment rules s -> t with a shared assignment sending s, t to a, b."""
-    terms = enumerate_terms(algebra.signature, k, ell, depth)
-    assignments = list(algebra.assignments([f"x{i + 1}" for i in range(k)]))
-    vectors = [tuple(eval_term(t, alpha, algebra) for alpha in assignments) for t in terms]
-    masks = [variables(t) for t in terms]
+    terms, children, occs = enumerate_fragment(algebra.signature, k, ell, depth)
+    if a not in algebra.carrier or b not in algebra.carrier:
+        return set()
+    hit = (algebra.index(a), algebra.index(b))
+    tables = term_tables(algebra, k, terms, children)
+    masks = [sum(1 << v for v, n in enumerate(occ) if n) for occ in occs]  # used variables
     out: set[RewriteRule] = set()
     for i, s in enumerate(terms):
         for j, t in enumerate(terms):
-            if not masks[j] <= masks[i]:
+            if masks[j] & ~masks[i]:
                 continue
-            if any(x == a and y == b for x, y in zip(vectors[i], vectors[j])):
+            if hit in zip(tables[i], tables[j]):
                 out.add(RewriteRule(s, t))
     return out
 
@@ -91,25 +191,20 @@ class OracleUniverse(FragmentDecider):
                  limit: Optional[int] = None):
         algebras = self._set_pair(first, second)
         check_same_signature(first, self.second)
-        terms = enumerate_terms(first.signature, k, ell, depth, limit)
-        names = [f"x{i + 1}" for i in range(k)]
-        assignments = [list(alg.assignments(names)) for alg in algebras]
+        terms, children, occs = enumerate_fragment(first.signature, k, ell, depth, limit)
+        tables = [term_tables(alg, k, terms, children) for alg in algebras]
         self.automaton = SimpleNamespace(algebras=algebras, states=[], witnesses=[], sizes=[])
         seen: set[BehaviorState] = set()
-        for t in terms:
-            used = variables(t)
-            state = BehaviorState(
-                tuple(
-                    tuple(alg.index(eval_term(t, alpha, alg)) for alpha in alphas)
-                    for alg, alphas in zip(algebras, assignments)
-                ),
-                tuple(int(name in used) for name in names),
-            )
+        sizes: list[int] = []  # term_size of every term, from its children's
+        for i, (term, combo, occ) in enumerate(zip(terms, children, occs)):
+            sizes.append(1 + sum(sizes[c] for c in combo))
+            state = BehaviorState(tuple(table[i] for table in tables),
+                                  tuple(int(n > 0) for n in occ))
             if state not in seen:
                 seen.add(state)
                 self.automaton.states.append(state)
-                self.automaton.witnesses.append(t)
-                self.automaton.sizes.append(term_size(t))
+                self.automaton.witnesses.append(term)
+                self.automaton.sizes.append(sizes[i])
         self.class_reps = self.automaton.witnesses
         self._build_pairs()  # an oracle is built to be queried: index it with its terms
 

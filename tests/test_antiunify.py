@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -220,3 +222,19 @@ class TestBoundedGens:
     def test_depth_zero_not_distinguished(self):
         alg = FiniteAlgebra(name="bare", carrier=("a", "b"), constants={"c0": "b"})
         assert bounded_gens("a", alg, k=1, depth=0) == {Var("x1")}
+
+    def test_matches_direct_evaluation(self):
+        from anaprop.oracle import enumerate_terms
+        from anaprop.terms import canonical_term
+        from tests.strategies import random_finite_algebra
+
+        rng = random.Random(616)
+        for case in range(40):
+            alg = random_finite_algebra(rng, max_size=3)
+            k, depth = rng.choice([0, 1, 2]), rng.randint(0, 2)
+            terms = enumerate_terms(alg.signature, k, None, depth)
+            for value in alg.carrier:
+                want = {canonical_term(t) for t in terms
+                        if any(eval_term(t, alpha, alg) == value
+                               for alpha in alg.assignments(sorted(variables(t))))}
+                assert bounded_gens(value, alg, k, depth) == want, (case, k, depth, value)

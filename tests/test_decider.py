@@ -22,7 +22,8 @@ from anaprop.decider import (
     functional_solve,
     verify_characteristic,
 )
-from anaprop.oracle import OracleBudgetExceeded, OracleUniverse, enumerate_terms, oracle_justifications
+from anaprop.oracle import (OracleBudgetExceeded, OracleUniverse, count_terms, enumerate_terms,
+                            oracle_justifications)
 from anaprop.terms import (App, RewriteRule, Var, canonical_rule, parse_rule, parse_term, term_size,
                            variables)
 from tests.strategies import random_algebra_pair
@@ -217,6 +218,17 @@ class TestVerdictWitness:
         verdict = FragmentDecider(source, target, k=1).decide_proportion("a", "b", "e", "f")
         assert verdict.witness is not None and verdict.arrow is None
 
+    def test_memoised_rules_are_the_canonical_rules(self):
+        for alg in (alg_a1(), alg_a2(), alg_a3()):
+            dec = FragmentDecider(alg, k=1)
+            for quad in _quads(dec):
+                dec.decide_proportion(*quad)  # fills the memo along the way
+            witnesses = dec.automaton.witnesses
+            for pid, (i, j) in enumerate(dec._valid_pairs):
+                fresh = canonical_rule(RewriteRule(witnesses[i], witnesses[j]))
+                assert dec._rule_for(pid) == fresh, (alg.name, pid)
+                assert dec._rule_for(pid) is dec._rule_for(pid)
+
 
 def _quads(dec):
     first, second = dec.automaton.algebras[0], dec.automaton.algebras[-1]
@@ -361,13 +373,111 @@ class TestOracleEnumeration:
             ranks = {name: rng.randint(1, 3) for name in rng.sample("fgh", rng.randint(1, 2))}
             ranks.update((name, 0) for name in rng.sample("ab", rng.randint(0, 2)))
             signature = Signature(ranks)
-            k, ell = rng.choice([0, 1, 2]), rng.choice([1, 2, None])
+            k, ell = rng.choice([0, 1, 2]), rng.choice([0, 1, 2, None])
             depth, limit = rng.randint(1, 20), rng.randint(20, 200)
             want = outcome(self._product_reference, signature, k, ell, depth, limit)
             assert outcome(enumerate_terms, signature, k, ell, depth, limit) == want, (
                 case, ranks, k, ell, depth, limit)
             over += want == "over budget"
         assert 100 < over < 300
+
+    def test_count_matches_enumeration(self):
+        from anaprop.terms import Signature
+
+        rng = random.Random(818)
+        compared = 0
+        for case in range(300):
+            ranks = {name: rng.randint(1, 3) for name in rng.sample("fgh", rng.randint(0, 2))}
+            ranks.update((name, 0) for name in rng.sample("ab", rng.randint(0, 2)))
+            signature = Signature(ranks)
+            k, ell = rng.choice([0, 1, 2]), rng.choice([0, 1, 2, None])
+            depth = rng.randint(0, 12)
+            count = count_terms(signature, k, ell, depth, limit=2000)
+            if count > 2000:  # counting stopped past the limit: too many to list here
+                with pytest.raises(OracleBudgetExceeded):
+                    enumerate_terms(signature, k, ell, depth, limit=2000)
+                continue
+            assert count == len(enumerate_terms(signature, k, ell, depth)), (
+                case, ranks, k, ell, depth)
+            compared += 1
+        assert 150 < compared < 300
+
+    def test_count_edge_cases(self):
+        from anaprop.terms import Signature
+
+        constants = Signature({"a": 0, "b": 0})
+        assert count_terms(constants, 0, None, 5) == 2
+        assert count_terms(constants, 2, 1, 5) == 4
+        # l = 0 keeps only ground terms: a; f(a,a); and three with f(a,a) below the root
+        assert count_terms(Signature({"f": 2, "a": 0}), 2, 0, 2) == 1 + 1 + 3
+        assert count_terms(Signature({"f": 1}), 0, None, 4) == 0
+        assert count_terms(Signature({"f": 1}), 2, 1, 0) == 2
+
+    def test_budget_refused_before_building(self):
+        from anaprop.terms import Signature
+
+        # a binary symbol with two variables: about 4.4 * 10^12 terms to depth 5
+        with pytest.raises(OracleBudgetExceeded, match="exceeds 1000 terms"):
+            enumerate_terms(Signature({"f": 2}), 2, None, 5, limit=1000)
+        assert len(enumerate_terms(Signature({"f": 2}), 1, None, 2, limit=5)) == 5
+
+
+class TestOracleTables:
+    """The universe's classes from its children's tables equal those of direct evaluation."""
+
+    @staticmethod
+    def _direct(algebras, k, ell, depth, limit):
+        """The literal grouping: evaluate every enumerated term from scratch."""
+        terms = enumerate_terms(algebras[0].signature, k, ell, depth, limit)
+        names = [f"x{i + 1}" for i in range(k)]
+        states, witnesses, sizes = [], [], []
+        for t in terms:
+            used = variables(t)
+            state = BehaviorState(
+                tuple(tuple(alg.index(eval_term(t, alpha, alg)) for alpha in alg.assignments(names))
+                      for alg in algebras),
+                tuple(int(name in used) for name in names))
+            if state not in states:
+                states.append(state)
+                witnesses.append(t)
+                sizes.append(term_size(t))
+        return states, witnesses, sizes
+
+    def test_matches_direct_evaluation(self):
+        rng = random.Random(515)
+        checked = 0
+        for case in range(150):
+            first, second = random_algebra_pair(rng, max_size=3)
+            algebras = (first,) if second is first else (first, second)
+            k, ell = rng.choice([0, 1, 2]), rng.choice([None, 0, 1, 2])
+            depth = rng.randint(0, 6)
+            try:
+                uni = OracleUniverse(first, second, k=k, ell=ell, depth=depth, limit=400)
+            except OracleBudgetExceeded:
+                continue
+            auto = uni.automaton
+            assert (auto.states, auto.witnesses, auto.sizes) == self._direct(
+                algebras, k, ell, depth, 400), (case, k, ell, depth)
+            checked += 1
+        assert checked > 100
+
+
+class TestNegativeBound:
+    def test_automaton(self):
+        with pytest.raises(ValueError, match="l must be at least 0"):
+            BehaviorAutomaton((alg_a2(),), k=1, ell=-1)
+
+    def test_decider(self):
+        with pytest.raises(ValueError, match="l must be at least 0"):
+            FragmentDecider(alg_a2(), k=1, ell=-1)
+
+    def test_enumerate_terms(self):
+        with pytest.raises(ValueError, match="l must be at least 0"):
+            enumerate_terms(alg_a2().signature, 1, -1, 3)
+
+    def test_oracle_universe(self):
+        with pytest.raises(ValueError, match="l must be at least 0"):
+            OracleUniverse(alg_a2(), k=1, ell=-1, depth=3)
 
 
 class TestAutomatonClosure:
@@ -488,6 +598,24 @@ class TestOracleJustifications:
                 for other in universe:
                     if shared_instance(rule, other):
                         assert other in justs, (rule, other)
+
+    def test_matches_direct_evaluation(self):
+        from tests.strategies import random_finite_algebra
+
+        rng = random.Random(717)
+        for case in range(30):
+            alg = random_finite_algebra(rng, max_size=3)
+            k, ell, depth = rng.choice([0, 1, 2]), rng.choice([None, 1]), rng.randint(1, 2)
+            terms = enumerate_terms(alg.signature, k, ell, depth)
+            if len(terms) > 80:
+                continue
+            alphas = list(alg.assignments([f"x{i + 1}" for i in range(k)]))
+            values = [[eval_term(t, alpha, alg) for alpha in alphas] for t in terms]
+            for a, b in itertools.product(alg.carrier, repeat=2):
+                want = {RewriteRule(s, t)
+                        for (s, vs), (t, vt) in itertools.product(zip(terms, values), repeat=2)
+                        if variables(t) <= variables(s) and (a, b) in zip(vs, vt)}
+                assert oracle_justifications(a, b, alg, k, ell, depth) == want, (case, a, b)
 
     def test_componentwise_order_is_not_upward_closed(self):
         # regression: with independent substitutions per side, upward closure
