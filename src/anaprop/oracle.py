@@ -16,6 +16,7 @@ counting them (``count_terms``) before any is built.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from types import SimpleNamespace
 from typing import Optional
 
@@ -63,10 +64,7 @@ def count_terms(signature: Signature, k: int, ell: Optional[int], depth: int,
             level[key] = level.get(key, 0) + 1
     if signature.constants():
         level[(0,) * dims] = level.get((0,) * dims, 0) + len(signature.constants())
-    ranks: dict[int, int] = {}  # rank -> number of symbols of that rank
-    for _, rank in signature.symbols():
-        if rank:
-            ranks[rank] = ranks.get(rank, 0) + 1
+    ranks = Counter(rank for _, rank in signature.symbols() if rank)  # rank -> its symbols
     total = sum(level.values())
     known: dict[tuple[int, ...], int] = {}  # the terms before the previous level
     older = {rank: {} for rank in ranks}  # their child tuples, by rank

@@ -13,7 +13,9 @@ from anaprop.antiunify import (
     monomial_gens,
     monomial_term,
 )
-from anaprop.terms import Var, parse_term, variables
+from anaprop.oracle import enumerate_terms
+from anaprop.terms import Var, canonical_term, parse_term, variables
+from tests.strategies import random_finite_algebra
 
 nats = st.integers(min_value=2, max_value=300)
 
@@ -224,10 +226,6 @@ class TestBoundedGens:
         assert bounded_gens("a", alg, k=1, depth=0) == {Var("x1")}
 
     def test_matches_direct_evaluation(self):
-        from anaprop.oracle import enumerate_terms
-        from anaprop.terms import canonical_term
-        from tests.strategies import random_finite_algebra
-
         rng = random.Random(616)
         for case in range(40):
             alg = random_finite_algebra(rng, max_size=3)

@@ -26,7 +26,7 @@ from anaprop.oracle import (OracleBudgetExceeded, OracleUniverse, count_terms, e
                             oracle_justifications)
 from anaprop.terms import (App, RewriteRule, Var, canonical_rule, parse_rule, parse_term, term_size,
                            variables)
-from tests.strategies import random_algebra_pair
+from tests.strategies import random_algebra_pair, random_finite_algebra
 
 
 def alg_a1():
@@ -600,8 +600,6 @@ class TestOracleJustifications:
                         assert other in justs, (rule, other)
 
     def test_matches_direct_evaluation(self):
-        from tests.strategies import random_finite_algebra
-
         rng = random.Random(717)
         for case in range(30):
             alg = random_finite_algebra(rng, max_size=3)
