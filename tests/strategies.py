@@ -96,6 +96,24 @@ def random_algebra_pair(rng: random.Random, max_size: int = 4,
     return first, second
 
 
+def shaped_algebra_pair(rng: random.Random, ranks: dict[str, int], size: int):
+    """Two random finite algebras with the given symbol ranks (rank 0: a constant);
+    the first has ``size`` elements, the second (when not the first) at most that."""
+    from anaprop.algebras import FiniteAlgebra
+
+    def draw(name: str, carrier: tuple[str, ...]):
+        return FiniteAlgebra(
+            name=name, carrier=carrier,
+            constants={sym: rng.choice(carrier) for sym, rank in ranks.items() if rank == 0},
+            ops={sym: {args: rng.choice(carrier) for args in _tuples(carrier, rank)}
+                 for sym, rank in ranks.items() if rank})
+
+    first = draw("first", tuple(f"e{i}" for i in range(size)))
+    if rng.random() < 0.4:
+        return first, first
+    return first, draw("second", tuple(f"f{i}" for i in range(rng.randint(1, size))))
+
+
 def words(alphabet: str = "ab", max_len: int = 5) -> st.SearchStrategy[str]:
     return st.text(alphabet=alphabet, min_size=0, max_size=max_len)
 

@@ -1,4 +1,5 @@
 import itertools
+import os
 import random
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from anaprop.algebras import (
     NaturalMultiplication,
     WordConcatenation,
     eval_term,
+    load_finite_algebra,
     parse_word_pattern,
 )
 from anaprop.decider import (
@@ -26,7 +28,7 @@ from anaprop.oracle import (OracleBudgetExceeded, OracleUniverse, count_terms, e
                             oracle_justifications)
 from anaprop.terms import (App, RewriteRule, Var, canonical_rule, parse_rule, parse_term, term_size,
                            variables)
-from tests.strategies import random_algebra_pair, random_finite_algebra
+from tests.strategies import random_algebra_pair, random_finite_algebra, shaped_algebra_pair
 
 
 def alg_a1():
@@ -422,6 +424,22 @@ class TestOracleEnumeration:
         assert len(enumerate_terms(Signature({"f": 2}), 1, None, 2, limit=5)) == 5
 
 
+# (ranks, carrier size) of the shapes random_algebra_pair never draws: a rank-3
+# symbol, a signature of constants only, and 5-element carriers
+_SHAPES = [({"h": 3}, 2), ({"h": 3, "c0": 0}, 3), ({"c0": 0, "c1": 0}, 5),
+           ({"f": 1, "c0": 0}, 5), ({"f": 1, "g": 2}, 5)]
+
+
+def _shaped_cases(seed, rounds):
+    """``(algebras, k, ell)`` over every shape of ``_SHAPES``, ``rounds`` times."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        for ranks, size in _SHAPES:
+            first, second = shaped_algebra_pair(rng, ranks, size)
+            algebras = (first,) if second is first else (first, second)
+            yield algebras, rng.choice([0, 1, 2]), rng.choice([None, 0, 1, 2])
+
+
 class TestOracleTables:
     """The universe's classes from its children's tables equal those of direct evaluation."""
 
@@ -460,6 +478,18 @@ class TestOracleTables:
                 algebras, k, ell, depth, 400), (case, k, ell, depth)
             checked += 1
         assert checked > 100
+        shaped = 0
+        for case, (algebras, k, ell) in enumerate(_shaped_cases(616, 12)):
+            depth = rng.randint(0, 4)
+            try:
+                uni = OracleUniverse(*algebras, k=k, ell=ell, depth=depth, limit=400)
+            except OracleBudgetExceeded:
+                continue
+            auto = uni.automaton
+            assert (auto.states, auto.witnesses, auto.sizes) == self._direct(
+                algebras, k, ell, depth, 400), (case, k, ell, depth)
+            shaped += 1
+        assert shaped > 40
 
 
 class TestNegativeBound:
@@ -554,6 +584,83 @@ class TestAutomatonClosure:
             over += want == "over cap"
             pairs += len(algebras) == 2
         assert 5 < over < 60 and 20 < pairs < 100
+        over = 0
+        for case, (algebras, k, ell) in enumerate(_shaped_cases(717, 12)):
+            cap = rng.randint(20, 120)
+            want = outcome(self._product_reference, algebras, k, ell, cap)
+            assert outcome(automaton, algebras, k, ell, cap) == want, (case, k, ell, cap)
+            over += want == "over cap"
+        assert 0 < over < 20
+
+
+class TestPairIndex:
+    @staticmethod
+    def _pairwise_reference(dec):
+        """The class-pair index pair by pair: each (i, j) with supp j within supp i,
+        in that order, gets the next pid and joins the set of every (x, y) it hits
+        in each algebra; it is trivial when it hits every (x, y) in every algebra."""
+        auto = dec.automaton
+        states = auto.states
+        supports = [s.used_vars for s in states]
+        carriers = [alg.carrier for alg in auto.algebras]
+        by_side = [{} for _ in auto.algebras]
+        pairs, trivial = [], set()
+        for i, si in enumerate(states):
+            for j, sj in enumerate(states):
+                if not supports[j] <= supports[i]:
+                    continue
+                pid = len(pairs)
+                pairs.append((i, j))
+                hits_all = True
+                for m, carrier in enumerate(carriers):
+                    hits = set(zip(si.tables[m], sj.tables[m]))
+                    for x, y in hits:
+                        by_side[m].setdefault((carrier[x], carrier[y]), set()).add(pid)
+                    hits_all = hits_all and len(hits) == len(carrier) ** 2
+                if hits_all:
+                    trivial.add(pid)
+        sides = tuple({key: frozenset(v) for key, v in by_side[m].items()} for m in dec.sides)
+        return pairs, sides, frozenset(trivial)
+
+    def _check(self, dec):
+        dec._build_pairs()
+        pairs, sides, trivial = self._pairwise_reference(dec)
+        assert dec._valid_pairs == pairs
+        assert dec._side_sets == sides
+        assert dec._trivial == trivial
+        states = dec.automaton.states
+        assert dec._trivial == {pid for pid, (i, j) in enumerate(pairs)
+                                if dec.is_trivial_pair(states[i], states[j])}
+
+    def test_matches_pairwise_reference(self):
+        rng = random.Random(1212)
+        checked = empty = one_element = universes = 0
+        for case in range(150):
+            first, second = random_algebra_pair(rng, max_size=3)
+            k, ell = rng.choice([0, 1, 2]), rng.choice([None, 0, 1, 2])
+            try:
+                dec = FragmentDecider(first, second, k=k, ell=ell, cap=60)
+            except StateCapExceeded:
+                continue
+            self._check(dec)
+            checked += 1
+            empty += dec.state_count == 0
+            one_element += min(len(first.carrier), len(second.carrier)) == 1
+            if case % 3 == 0:
+                try:
+                    uni = OracleUniverse(first, second, k=k, ell=ell, depth=3, limit=300)
+                except OracleBudgetExceeded:
+                    continue
+                self._check(uni)
+                universes += 1
+        assert checked > 100 and empty > 0 and one_element > 0 and universes > 20
+        root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                            "algebras")
+        gpair = tuple(load_finite_algebra(os.path.join(root, f"gpair_{side}.json"))
+                      for side in ("source", "target"))
+        for pair in [(alg_a1(), None), (alg_a2(), None), (alg_a3(), None), gpair]:
+            for k, ell in itertools.product([0, 1, 2], [None, 1]):
+                self._check(FragmentDecider(*pair, k=k, ell=ell))
 
 
 class TestOracleJustifications:
