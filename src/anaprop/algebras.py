@@ -15,6 +15,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Any, Iterator, Optional
 
@@ -153,7 +154,7 @@ class FiniteAlgebra(Algebra):
                         f"at row {args!r}"
                     )
 
-    @property
+    @cached_property
     def signature(self) -> Signature:
         ranks = {sym: 0 for sym in self.constants}
         for sym, table in self.ops.items():

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import antiunify  # by module: tracing wraps antiunify.common_gens in place
 from .algebras import (
@@ -29,6 +30,7 @@ from .terms import App, RewriteRule, Signature, Term, Var, canonical_rule, varia
 
 
 _EMPTY: frozenset[int] = frozenset()
+_NO_PAIR = -1  # stands for the pid of an invalid pair while the index is built
 
 
 class StateCapExceeded(Exception):
@@ -83,6 +85,13 @@ def index_tables(algebra: FiniteAlgebra) -> dict[str, dict[tuple[int, ...], int]
     }
 
 
+def compose_table(op: dict[tuple[int, ...], int],
+                  child_tables: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """A term's table from its operation's index table and its children's
+    tables, assignment by assignment."""
+    return tuple(map(op.__getitem__, zip(*child_tables)))
+
+
 def child_tuples(signature: Signature, k: int, ell: Optional[int],
                  occs: list[tuple[int, ...]], level_start: int
                  ) -> Iterator[tuple[str, tuple[int, ...]]]:
@@ -133,7 +142,6 @@ class BehaviorAutomaton:
         self.k = k
         self.ell = ell
         self.cap = cap
-        self._occ_cap = 1 if ell is None else ell + 1
         self.assignments = [
             list(itertools.product(range(len(alg.carrier)), repeat=k))
             for alg in algebras
@@ -142,58 +150,56 @@ class BehaviorAutomaton:
         self.index: dict[BehaviorState, int] = {}
         self.witnesses: list[Term] = []
         self.sizes: list[int] = []  # term_size of each state's witness
-        self._op_tables = [index_tables(alg) for alg in algebras]
         self._build()
 
-    def _add(self, state: BehaviorState, witness: Term, children: tuple[int, ...] = ()) -> None:
-        if state in self.index:
-            return
-        if len(self.states) >= self.cap:
-            raise StateCapExceeded(
-                f"behavior state space exceeds the cap of {self.cap} states"
-            )
-        self.index[state] = len(self.states)
-        self.states.append(state)
-        self.witnesses.append(witness)
-        self.sizes.append(1 + sum(self.sizes[c] for c in children))
-
-    def _leaf_states(self) -> None:
+    def _leaf_states(self) -> Iterator[tuple[BehaviorState, Term]]:
         for v in range(self.k if self.ell is None or self.ell >= 1 else 0):
             tables = tuple(
                 tuple(alpha[v] for alpha in self.assignments[m])
                 for m in range(len(self.algebras))
             )
             occ = tuple(1 if i == v else 0 for i in range(self.k))
-            self._add(BehaviorState(tables, occ), Var(f"x{v + 1}"))
+            yield BehaviorState(tables, occ), Var(f"x{v + 1}")
         for sym in self.signature.constants():
             tables = tuple(
                 tuple(alg.index(alg.constants[sym]) for _ in self.assignments[m])
                 for m, alg in enumerate(self.algebras)
             )
-            self._add(BehaviorState(tables, (0,) * self.k), App(sym))
-
-    def _combine(self, symbol: str, children: tuple[int, ...]) -> None:
-        states = [self.states[c] for c in children]
-        occ = tuple(
-            min(sum(s.occ[v] for s in states), self._occ_cap) for v in range(self.k)
-        )
-        tables = tuple(
-            tuple(
-                self._op_tables[m][symbol][tuple(s.tables[m][j] for s in states)]
-                for j in range(len(self.assignments[m]))
-            )
-            for m in range(len(self.algebras))
-        )
-        witness = App(symbol, tuple(self.witnesses[c] for c in children))
-        self._add(BehaviorState(tables, occ), witness, children)
+            yield BehaviorState(tables, (0,) * self.k), App(sym)
 
     def _build(self) -> None:
-        self._leaf_states()
+        """Close the states round by round; a witness and its size are built
+        only for a state not seen before."""
+        states, index, witnesses, sizes = self.states, self.index, self.witnesses, self.sizes
+
+        def admit(state: BehaviorState, witness: Term, size: int) -> None:
+            if len(states) >= self.cap:
+                raise StateCapExceeded(
+                    f"behavior state space exceeds the cap of {self.cap} states"
+                )
+            index[state] = len(states)
+            states.append(state)
+            witnesses.append(witness)
+            sizes.append(size)
+
+        for state, witness in self._leaf_states():
+            if state not in index:
+                admit(state, witness, 1)
+        op_tables = [index_tables(alg) for alg in self.algebras]
+        occ_cap = itertools.repeat(1 if self.ell is None else self.ell + 1)
         level_start = 0
-        while level_start < len(self.states):
-            occs = [s.occ for s in self.states]
+        while level_start < len(states):
+            occs = [s.occ for s in states]
+            # per algebra, the table of each state known before the round
+            known = [[s.tables[m] for s in states] for m in range(len(op_tables))]
             for sym, combo in child_tuples(self.signature, self.k, self.ell, occs, level_start):
-                self._combine(sym, combo)
+                state = BehaviorState(
+                    tuple(compose_table(ops[sym], map(tables.__getitem__, combo))
+                          for ops, tables in zip(op_tables, known)),
+                    tuple(map(min, map(sum, zip(*map(occs.__getitem__, combo))), occ_cap)))
+                if state not in index:
+                    admit(state, App(sym, tuple(map(witnesses.__getitem__, combo))),
+                          1 + sum(map(sizes.__getitem__, combo)))
             level_start = len(occs)
 
     @property
@@ -236,36 +242,67 @@ class FragmentDecider:
     # -- class-pair universe ------------------------------------------------
 
     def _build_pairs(self) -> None:
+        """Index the class pairs (i, j) with supp j within supp i, numbered by i, then j.
+
+        Built column by column: at each assignment t, the states j are grouped
+        by their value y, and state i adds its pairs with one group to
+        J(T_i[t], y) in one ``set.update``.  A pair is trivial when it lies in
+        every J(x, y) of every algebra.
+        """
         if self._pairs_built:
             return
         auto = self.automaton
         states = auto.states
         supports = [s.used_vars for s in states]
-        carriers = [alg.carrier for alg in auto.algebras]
-        by_side: list[dict[tuple[str, str], set[int]]] = [
-            {} for _ in auto.algebras
-        ]
-        trivial: set[int] = set()
+        within: dict[frozenset[int], list[int]] = {}  # support -> the states within it
         pair_ids: list[tuple[int, int]] = []
-        for i, si in enumerate(states):
-            for j, sj in enumerate(states):
-                if not supports[j] <= supports[i]:
-                    continue
-                pid = len(pair_ids)
-                pair_ids.append((i, j))
-                is_trivial = True
-                for m, carrier in enumerate(carriers):
-                    hits = set(zip(si.tables[m], sj.tables[m]))
-                    for x, y in hits:
-                        by_side[m].setdefault((carrier[x], carrier[y]), set()).add(pid)
-                    if len(hits) != len(carrier) ** 2:
-                        is_trivial = False
-                if is_trivial:
-                    trivial.add(pid)
+        # per state i, the pid of (i, j) at j, or _NO_PAIR where supp j is not within
+        # supp i; each pid is one int object, shared by every set that holds it
+        pid_rows: list[list[int]] = []
+        for i, support in enumerate(supports):
+            js = within.get(support)
+            if js is None:
+                js = within[support] = [j for j, s in enumerate(supports) if s <= support]
+            start = len(pair_ids)
+            pair_ids.extend([(i, j) for j in js])
+            if len(js) == len(states):
+                pid_rows.append(list(range(start, len(pair_ids))))
+            else:
+                row = [_NO_PAIR] * len(states)
+                for j, pid in zip(js, range(start, len(pair_ids))):
+                    row[j] = pid
+                pid_rows.append(row)
+        sides: list[dict[tuple[str, str], frozenset[int]]] = []
+        for m, alg in enumerate(auto.algebras):
+            carrier = alg.carrier
+            hits: list[defaultdict[int, set[int]]] = [defaultdict(set) for _ in carrier]
+            columns = []  # per assignment t: the states j grouped by y = T_j[t]
+            for column in zip(*[s.tables[m] for s in states]):
+                groups: dict[int, list[int]] = {}
+                for j, y in enumerate(column):
+                    if y in groups:
+                        groups[y].append(j)
+                    else:
+                        groups[y] = [j]
+                columns.append(groups.items())
+            for state, row in zip(states, pid_rows):
+                pid_at = row.__getitem__
+                for x, groups in zip(state.tables[m], columns):
+                    hit = hits[x]
+                    for y, js in groups:
+                        hit[y].update(map(pid_at, js))
+            side = {}
+            for x, hit in enumerate(hits):
+                for y, cell in hit.items():
+                    cell.discard(_NO_PAIR)
+                    if cell:
+                        side[carrier[x], carrier[y]] = frozenset(cell)
+            sides.append(side)
+        full = all(len(side) == len(alg.carrier) ** 2 for side, alg in zip(sides, auto.algebras))
+        cells = [cell for side in sides for cell in side.values()]
         self._valid_pairs = pair_ids
-        frozen = [{key: frozenset(v) for key, v in side.items()} for side in by_side]
-        self._side_sets = tuple(frozen[m] for m in self.sides)
-        self._trivial = frozenset(trivial)
+        self._side_sets = tuple(sides[m] for m in self.sides)
+        self._trivial = cells[0].intersection(*cells[1:]) if full else frozenset()
         self._pairs_built = True
 
     def _carrier(self, side: int) -> tuple[str, ...]:

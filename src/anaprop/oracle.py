@@ -22,7 +22,7 @@ from typing import Optional
 
 from .algebras import FiniteAlgebra
 from .decider import (BehaviorState, FragmentDecider, check_occurrence_bound,
-                      check_same_signature, child_tuples, index_tables)
+                      check_same_signature, child_tuples, compose_table, index_tables)
 from .terms import App, RewriteRule, Signature, Term, Var
 
 
@@ -112,9 +112,9 @@ def enumerate_fragment(signature: Signature, k: int, ell: Optional[int], depth: 
     for _ in range(depth):
         new_start = len(terms)  # children come from the terms known before this level
         for sym, combo in child_tuples(signature, k, ell, occs[:new_start], level_start):
-            terms.append(App(sym, tuple(terms[c] for c in combo)))
+            terms.append(App(sym, tuple(map(terms.__getitem__, combo))))
             children.append(combo)
-            occs.append(tuple(sum(occs[c][v] for c in combo) for v in range(k)))
+            occs.append(tuple(map(sum, zip(*map(occs.__getitem__, combo)))))
         if new_start == len(terms):
             break
         level_start = new_start
@@ -147,8 +147,7 @@ def term_tables(algebra: FiniteAlgebra, k: int, terms: list[Term],
     out: list[tuple[int, ...]] = []
     for term, combo in zip(terms, children):
         if combo:
-            op = ops[term.symbol]
-            out.append(tuple(map(op.__getitem__, zip(*[out[c] for c in combo]))))
+            out.append(compose_table(ops[term.symbol], map(out.__getitem__, combo)))
         elif isinstance(term, Var):
             out.append(columns[term.name])
         else:
@@ -191,18 +190,17 @@ class OracleUniverse(FragmentDecider):
         check_same_signature(first, self.second)
         terms, children, occs = enumerate_fragment(first.signature, k, ell, depth, limit)
         tables = [term_tables(alg, k, terms, children) for alg in algebras]
-        self.automaton = SimpleNamespace(algebras=algebras, states=[], witnesses=[], sizes=[])
-        seen: set[BehaviorState] = set()
         sizes: list[int] = []  # term_size of every term, from its children's
-        for i, (term, combo, occ) in enumerate(zip(terms, children, occs)):
-            sizes.append(1 + sum(sizes[c] for c in combo))
-            state = BehaviorState(tuple(table[i] for table in tables),
-                                  tuple(int(n > 0) for n in occ))
-            if state not in seen:
-                seen.add(state)
-                self.automaton.states.append(state)
-                self.automaton.witnesses.append(term)
-                self.automaton.sizes.append(sizes[i])
+        for combo in children:
+            sizes.append(1 + sum(map(sizes.__getitem__, combo)))
+        classes: dict[tuple, int] = {}  # (tables, support) of each class -> its first term
+        supports = (tuple(map(min, occ, itertools.repeat(1))) for occ in occs)
+        for i, key in enumerate(zip(zip(*tables), supports)):
+            classes.setdefault(key, i)
+        self.automaton = SimpleNamespace(
+            algebras=algebras, states=[BehaviorState(*key) for key in classes],
+            witnesses=[terms[i] for i in classes.values()],
+            sizes=[sizes[i] for i in classes.values()])
         self.class_reps = self.automaton.witnesses
         self._build_pairs()  # an oracle is built to be queried: index it with its terms
 
