@@ -631,6 +631,10 @@ class TestPairIndex:
         states = dec.automaton.states
         assert dec._trivial == {pid for pid, (i, j) in enumerate(pairs)
                                 if dec.is_trivial_pair(states[i], states[j])}
+        # each pid is one int object, whichever sets hold it
+        held = [pid for side in dec._side_sets for cell in side.values() for pid in cell]
+        held += dec._trivial
+        assert len({id(pid) for pid in held}) == len(set(held))
 
     def test_matches_pairwise_reference(self):
         rng = random.Random(1212)

@@ -73,8 +73,8 @@ def run_once(tar_bytes: bytes, workdir: str, side: str, workload: str, seed: int
         proc = subprocess.run(cmd, cwd=dest, env=env, capture_output=True, text=True,
                               timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired as exc:
-        proc = subprocess.CompletedProcess(cmd, -1, exc.stdout or "",
-                                           f"timed out after {RUN_TIMEOUT_S} s\n{exc.stderr or ''}")
+        err = exc.stderr.decode() if isinstance(exc.stderr, bytes) else exc.stderr or ""
+        proc = subprocess.CompletedProcess(cmd, -1, "", f"timed out after {RUN_TIMEOUT_S} s\n{err}")
     finally:
         shutil.rmtree(dest, ignore_errors=True)
     lines = (proc.stdout or "").strip().splitlines()
@@ -141,6 +141,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.pairs < 1 or args.traced < 0:
         p.error("--pairs must be at least 1 and --traced at least 0")
+    if args.claim and args.claim.count(":") != 1:
+        p.error("--claim takes workload:metric")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         end_to_end = json.load(fh)["end_to_end"]
