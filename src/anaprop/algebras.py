@@ -161,6 +161,15 @@ class FiniteAlgebra(Algebra):
             ranks[sym] = len(next(iter(table)))
         return Signature(ranks)
 
+    @cached_property
+    def index_tables(self) -> dict[str, dict[tuple[int, ...], int]]:
+        """Each operation's table over carrier indices."""
+        return {
+            sym: {tuple(self.index(x) for x in args): self.index(res)
+                  for args, res in table.items()}
+            for sym, table in self.ops.items()
+        }
+
     def index(self, element: str) -> int:
         return self.carrier.index(element)
 

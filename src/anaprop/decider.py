@@ -76,15 +76,6 @@ def check_occurrence_bound(ell: Optional[int]) -> None:
         raise ValueError(f"the occurrence bound l must be at least 0, got {ell}")
 
 
-def index_tables(algebra: FiniteAlgebra) -> dict[str, dict[tuple[int, ...], int]]:
-    """Each operation's table over carrier indices."""
-    return {
-        sym: {tuple(algebra.index(x) for x in args): algebra.index(res)
-              for args, res in table.items()}
-        for sym, table in algebra.ops.items()
-    }
-
-
 def compose_table(op: dict[tuple[int, ...], int],
                   child_tables: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
     """A term's table from its operation's index table and its children's
@@ -185,7 +176,7 @@ class BehaviorAutomaton:
         for state, witness in self._leaf_states():
             if state not in index:
                 admit(state, witness, 1)
-        op_tables = [index_tables(alg) for alg in self.algebras]
+        op_tables = [alg.index_tables for alg in self.algebras]
         occ_cap = itertools.repeat(1 if self.ell is None else self.ell + 1)
         level_start = 0
         while level_start < len(states):
@@ -265,13 +256,10 @@ class FragmentDecider:
                 js = within[support] = [j for j, s in enumerate(supports) if s <= support]
             start = len(pair_ids)
             pair_ids.extend([(i, j) for j in js])
-            if len(js) == len(states):
-                pid_rows.append(list(range(start, len(pair_ids))))
-            else:
-                row = [_NO_PAIR] * len(states)
-                for j, pid in zip(js, range(start, len(pair_ids))):
-                    row[j] = pid
-                pid_rows.append(row)
+            row = [_NO_PAIR] * len(states)
+            for j, pid in zip(js, range(start, len(pair_ids))):
+                row[j] = pid
+            pid_rows.append(row)
         sides: list[dict[tuple[str, str], frozenset[int]]] = []
         for m, alg in enumerate(auto.algebras):
             carrier = alg.carrier

@@ -22,7 +22,7 @@ from typing import Optional
 
 from .algebras import FiniteAlgebra
 from .decider import (BehaviorState, FragmentDecider, check_occurrence_bound,
-                      check_same_signature, child_tuples, compose_table, index_tables)
+                      check_same_signature, child_tuples, compose_table)
 from .terms import App, RewriteRule, Signature, Term, Var
 
 
@@ -143,7 +143,7 @@ def term_tables(algebra: FiniteAlgebra, k: int, terms: list[Term],
     """
     assignments = list(itertools.product(range(len(algebra.carrier)), repeat=k))
     columns = {f"x{v + 1}": column for v, column in enumerate(zip(*assignments))}
-    ops = index_tables(algebra)
+    ops = algebra.index_tables
     out: list[tuple[int, ...]] = []
     for term, combo in zip(terms, children):
         if combo:

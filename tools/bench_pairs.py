@@ -6,16 +6,17 @@
 Each run of ``perfbench/run.py`` gets a fresh checkout of its side, exported
 from git into a temporary directory (``git archive``, so nothing is added to
 the repository's own metadata), and the checkout is deleted after the run.
-Pair i runs seed ``--first-seed + i`` on both sides, the parent first when i
-is even and the change first when i is odd.  Medians and quartiles
-(inclusive method) are taken over the pairs, for every end-to-end metric that
-BENCHMARK.json lists.  ``--traced N`` adds N traced runs of seed
-``--first-seed`` per side and workload, and records their non-zero per-layer
-metrics.
+Every workload that BENCHMARK.json lists is run.  Pair i (from 0) runs seed
+i + 1 on both sides, the parent first when i is even and the change first
+when i is odd.  Medians and quartiles (inclusive method) are taken over the
+pairs, for every end-to-end metric that BENCHMARK.json lists.  ``--traced N``
+adds N traced runs of seed 1 per side and workload, and records their
+non-zero per-layer metrics.
 
-When a run exits non-zero or reports wrong outputs, the tool stops, names the
-side, workload and seed, and keeps that run's standard error in
-``<out>.failed.log``; no BENCH file is written.
+When a run exits non-zero, prints no JSON result or reports wrong outputs, the
+tool stops, names the side, workload and seed, and keeps that run's standard
+error and the tail of its standard output in ``<out>.failed.log``; no BENCH
+file is written.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 900  # perfbench/run.py ends each workload within its own deadline
+FIRST_SEED = 1
 
 
 class RunFailed(Exception):
@@ -78,16 +80,25 @@ def run_once(tar_bytes: bytes, workdir: str, side: str, workload: str, seed: int
     finally:
         shutil.rmtree(dest, ignore_errors=True)
     lines = (proc.stdout or "").strip().splitlines()
-    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else None
-    if result is None or not result.get("correct", False):
-        what = (f"exited with {proc.returncode}" if result is None
-                else "reported wrong outputs (correct: false)")
-        with open(failure_log, "w", encoding="utf-8") as fh:
-            fh.write(f"side {side}, workload {workload}, seed {seed}: {what}\n")
-            fh.write(f"command: {' '.join(cmd)}\n--- stderr ---\n{proc.stderr}")
-        raise RunFailed(f"{side} run of {workload} seed {seed} {what}; "
-                        f"its stderr is in {failure_log}")
-    return result
+    try:
+        result = json.loads(lines[-1]) if proc.returncode == 0 else None
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if proc.returncode != 0:
+        what = f"exited with {proc.returncode}"
+    elif not isinstance(result, dict):
+        what = "exited 0 but printed no JSON result on its last line"
+    elif not result.get("correct", False):
+        what = "reported wrong outputs (correct: false)"
+    else:
+        return result
+    with open(failure_log, "w", encoding="utf-8") as fh:
+        fh.write(f"side {side}, workload {workload}, seed {seed}: {what}\n")
+        fh.write(f"command: {' '.join(cmd)}\n--- stdout (last 20 lines) ---\n")
+        fh.write("".join(line + "\n" for line in lines[-20:]))
+        fh.write(f"--- stderr ---\n{proc.stderr}")
+    raise RunFailed(f"{side} run of {workload} seed {seed} {what}; "
+                    f"its output is in {failure_log}")
 
 
 def quartiles(values: list[float]) -> dict:
@@ -131,10 +142,8 @@ def main(argv=None) -> int:
     p.add_argument("--parent", required=True, help="the parent revision")
     p.add_argument("--change", default="HEAD", help="the changed revision")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--first-seed", type=int, default=1)
-    p.add_argument("--workloads", default="finite,crosscheck,cli")
     p.add_argument("--traced", type=int, default=0,
-                   help="traced runs of the first seed per side and workload")
+                   help="traced runs of seed 1 per side and workload")
     p.add_argument("--claim", help="the claimed gain, as workload:metric")
     p.add_argument("--note", default="", help="what the change does")
     p.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
@@ -145,11 +154,12 @@ def main(argv=None) -> int:
         p.error("--claim takes workload:metric")
 
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        end_to_end = json.load(fh)["end_to_end"]
-    workloads = [w for w in args.workloads.split(",") if w]
+        bench = json.load(fh)
+    end_to_end = bench["end_to_end"]
+    workloads = [w["name"] for w in bench["workloads"]]
     shas = {"parent": resolve(args.parent), "change": resolve(args.change)}
     tars = {side: archive(sha) for side, sha in shas.items()}
-    seeds = [args.first_seed + i for i in range(args.pairs)]
+    seeds = [FIRST_SEED + i for i in range(args.pairs)]
     failure_log = os.path.splitext(args.out)[0] + ".failed.log"
     report = {
         "change": args.note,
@@ -159,7 +169,7 @@ def main(argv=None) -> int:
                 f"{platform.python_version()}; times in perfbench reference seconds",
         "method": "alternating pairs in fresh checkouts of each side: pair i runs the "
                   "parent first when i is even, the change first when odd, with seed "
-                  f"i + {args.first_seed} on both sides; median and quartiles (inclusive "
+                  f"i + {FIRST_SEED} on both sides; median and quartiles (inclusive "
                   "method) over the pairs",
     }
     if args.claim:
@@ -186,14 +196,14 @@ def main(argv=None) -> int:
                             print(f"traced {workload} {i + 1}/{args.traced}: {side}",
                                   file=sys.stderr, flush=True)
                             res = run_once(tars[side], workdir, side, workload,
-                                           args.first_seed, True, failure_log)
+                                           FIRST_SEED, True, failure_log)
                             entry[workload] = {name: round(m["value"], 4)
                                                for name, m in res["metrics"].items()
                                                if m["value"]}
                         traced[side].append(entry)
                 report["per_layer_traced"] = {
                     "command": "python3 perfbench/run.py --workload <workload> "
-                               f"--seed {args.first_seed} --trace 1",
+                               f"--seed {FIRST_SEED} --trace 1",
                     "runs": traced,
                 }
         except RunFailed as exc:
