@@ -198,29 +198,26 @@ class FiniteAlgebra(Algebra):
         for values in itertools.product(self.carrier, repeat=len(names)):
             yield dict(zip(names, values))
 
+    def _values(self, term: Term) -> Iterator[tuple[Assignment, Element]]:
+        """Each assignment of the term's variables, with the term's value under it."""
+        for alpha in self.assignments(sorted(variables(term))):
+            yield alpha, eval_term(term, alpha, self)
+
     def solution_assignments(self, term: Term, value: Element) -> list[Assignment]:
-        names = sorted(variables(term))
-        return [
-            alpha
-            for alpha in self.assignments(names)
-            if eval_term(term, alpha, self) == value
-        ]
+        return [alpha for alpha, v in self._values(term) if v == value]
 
     def solution_count(self, term: Term, value: Element, cap: int = 2) -> float:
         count = 0
-        names = sorted(variables(term))
-        for alpha in self.assignments(names):
-            if eval_term(term, alpha, self) == value:
+        for _, v in self._values(term):
+            if v == value:
                 count += 1
                 if count >= cap:
                     return cap
         return count
 
     def injective(self, term: Term) -> bool:
-        names = sorted(variables(term))
         seen = set()
-        for alpha in self.assignments(names):
-            v = eval_term(term, alpha, self)
+        for _, v in self._values(term):
             if v in seen:
                 return False
             seen.add(v)

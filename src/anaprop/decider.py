@@ -15,6 +15,7 @@ import bisect
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from . import antiunify  # by module: tracing wraps antiunify.common_gens in place
@@ -31,6 +32,7 @@ from .terms import App, RewriteRule, Signature, Term, Var, canonical_rule, varia
 
 _EMPTY: frozenset[int] = frozenset()
 _NO_PAIR = -1  # stands for the pid of an invalid pair while the index is built
+_Side = dict[tuple[str, str], frozenset[int]]  # (x, y) -> the pids of the pairs justifying x -> y
 
 
 class StateCapExceeded(Exception):
@@ -43,10 +45,6 @@ class BehaviorState:
 
     tables: tuple[tuple[int, ...], ...]
     occ: tuple[int, ...]
-
-    @property
-    def used_vars(self) -> frozenset[int]:
-        return frozenset(i for i, n in enumerate(self.occ) if n)
 
 
 @dataclass(frozen=True)
@@ -74,6 +72,25 @@ def check_occurrence_bound(ell: Optional[int]) -> None:
     """Refuse a negative occurrence bound: no term has fewer than 0 occurrences."""
     if ell is not None and ell < 0:
         raise ValueError(f"the occurrence bound l must be at least 0, got {ell}")
+
+
+def leaves(signature: Signature, k: int, ell: Optional[int]) -> list[tuple[Term, tuple[int, ...]]]:
+    """The fragment's leaves with their occurrence vectors: x1..xk, unless
+    ``ell`` leaves no room for a variable, then the constants."""
+    out = [(Var(f"x{v + 1}"), tuple(int(i == v) for i in range(k)))
+           for v in range(k if ell is None or ell >= 1 else 0)]
+    out += [(App(sym), (0,) * k) for sym in signature.constants()]
+    return out
+
+
+def leaf_table(algebra: FiniteAlgebra, k: int, leaf: Term) -> tuple[int, ...]:
+    """A leaf's value under every assignment of x1..xk, as carrier indices, with
+    the assignments in ``itertools.product`` order."""
+    n = len(algebra.carrier)
+    if isinstance(leaf, Var):
+        v = int(leaf.name[1:]) - 1
+        return tuple(alpha[v] for alpha in itertools.product(range(n), repeat=k))
+    return (algebra.index(algebra.constants[leaf.symbol]),) * n ** k
 
 
 def compose_table(op: dict[tuple[int, ...], int],
@@ -133,30 +150,11 @@ class BehaviorAutomaton:
         self.k = k
         self.ell = ell
         self.cap = cap
-        self.assignments = [
-            list(itertools.product(range(len(alg.carrier)), repeat=k))
-            for alg in algebras
-        ]
         self.states: list[BehaviorState] = []
         self.index: dict[BehaviorState, int] = {}
         self.witnesses: list[Term] = []
         self.sizes: list[int] = []  # term_size of each state's witness
         self._build()
-
-    def _leaf_states(self) -> Iterator[tuple[BehaviorState, Term]]:
-        for v in range(self.k if self.ell is None or self.ell >= 1 else 0):
-            tables = tuple(
-                tuple(alpha[v] for alpha in self.assignments[m])
-                for m in range(len(self.algebras))
-            )
-            occ = tuple(1 if i == v else 0 for i in range(self.k))
-            yield BehaviorState(tables, occ), Var(f"x{v + 1}")
-        for sym in self.signature.constants():
-            tables = tuple(
-                tuple(alg.index(alg.constants[sym]) for _ in self.assignments[m])
-                for m, alg in enumerate(self.algebras)
-            )
-            yield BehaviorState(tables, (0,) * self.k), App(sym)
 
     def _build(self) -> None:
         """Close the states round by round; a witness and its size are built
@@ -173,9 +171,11 @@ class BehaviorAutomaton:
             witnesses.append(witness)
             sizes.append(size)
 
-        for state, witness in self._leaf_states():
+        for leaf, occ in leaves(self.signature, self.k, self.ell):
+            state = BehaviorState(
+                tuple(leaf_table(alg, self.k, leaf) for alg in self.algebras), occ)
             if state not in index:
-                admit(state, witness, 1)
+                admit(state, leaf, 1)
         op_tables = [alg.index_tables for alg in self.algebras]
         occ_cap = itertools.repeat(1 if self.ell is None else self.ell + 1)
         level_start = 0
@@ -222,30 +222,27 @@ class FragmentDecider:
         self.second = second if second is not None else first
         same = second is None or second is first
         self.sides = (0, 0) if same else (0, 1)
-        self._pairs_built = False
-        self._valid_pairs: list[tuple[int, int]] = []
-        # per side of the proportion: (x, y) -> the class pairs justifying x -> y
-        self._side_sets: tuple[dict[tuple[str, str], frozenset[int]], ...] = ()
-        self._trivial: frozenset[int] = frozenset()
         self._rules: dict[int, RewriteRule] = {}  # canonical rule of each pair asked for
         return (first,) if same else (first, self.second)
 
     # -- class-pair universe ------------------------------------------------
 
-    def _build_pairs(self) -> None:
-        """Index the class pairs (i, j) with supp j within supp i, numbered by i, then j.
+    @cached_property
+    def _index(self) -> tuple[list[tuple[int, int]], tuple[_Side, _Side], frozenset[int]]:
+        """The class-pair index ``(pairs, sides, trivial)``, built on first use.
 
-        Built column by column: at each assignment t, the states j are grouped
-        by their value y, and state i adds its pairs with one group to
-        J(T_i[t], y) in one ``set.update``.  A pair is trivial when it lies in
-        every J(x, y) of every algebra.
+        ``pairs`` lists the class pairs (i, j) with supp j within supp i, by i,
+        then j; a pair's id (pid) is its position.  ``sides`` holds a ``_Side`` per
+        side of the proportion, and ``trivial`` the pids that lie in every
+        J(x, y) of every algebra.  Built column by column: at each assignment
+        t, the states j are grouped by their value y, and state i adds its
+        pairs with one group to J(T_i[t], y) in one ``set.update``.
         """
-        if self._pairs_built:
-            return
         auto = self.automaton
         states = auto.states
-        supports = [s.used_vars for s in states]
-        within: dict[frozenset[int], list[int]] = {}  # support -> the states within it
+        # each state's support, as a bitmask of its occurring variables
+        supports = [sum(1 << v for v, n in enumerate(s.occ) if n) for s in states]
+        within: dict[int, list[int]] = {}  # support -> the states within it
         pair_ids: list[tuple[int, int]] = []
         # per state i, the pid of (i, j) at j, or _NO_PAIR where supp j is not within
         # supp i; each pid is one int object, shared by every set that holds it
@@ -253,14 +250,14 @@ class FragmentDecider:
         for i, support in enumerate(supports):
             js = within.get(support)
             if js is None:
-                js = within[support] = [j for j, s in enumerate(supports) if s <= support]
+                js = within[support] = [j for j, s in enumerate(supports) if not s & ~support]
             start = len(pair_ids)
             pair_ids.extend([(i, j) for j in js])
             row = [_NO_PAIR] * len(states)
             for j, pid in zip(js, range(start, len(pair_ids))):
                 row[j] = pid
             pid_rows.append(row)
-        sides: list[dict[tuple[str, str], frozenset[int]]] = []
+        sides: list[_Side] = []
         for m, alg in enumerate(auto.algebras):
             carrier = alg.carrier
             hits: list[defaultdict[int, set[int]]] = [defaultdict(set) for _ in carrier]
@@ -288,39 +285,34 @@ class FragmentDecider:
             sides.append(side)
         full = all(len(side) == len(alg.carrier) ** 2 for side, alg in zip(sides, auto.algebras))
         cells = [cell for side in sides for cell in side.values()]
-        self._valid_pairs = pair_ids
-        self._side_sets = tuple(sides[m] for m in self.sides)
-        self._trivial = cells[0].intersection(*cells[1:]) if full else frozenset()
-        self._pairs_built = True
+        trivial = cells[0].intersection(*cells[1:]) if full else _EMPTY
+        return pair_ids, tuple(sides[m] for m in self.sides), trivial
 
     def _carrier(self, side: int) -> tuple[str, ...]:
         return self.automaton.algebras[self.sides[side]].carrier
 
-    def _rule_for(self, pid: int) -> RewriteRule:
-        rule = self._rules.get(pid)
-        if rule is None:
-            i, j = self._valid_pairs[pid]
-            witnesses = self.automaton.witnesses
-            rule = self._rules[pid] = canonical_rule(RewriteRule(witnesses[i], witnesses[j]))
-        return rule
-
     def _smallest_rule(self, pids: frozenset[int]) -> RewriteRule:
-        """The rule of the pair with the least witness size, then the least (i, j)."""
-        sizes, pairs = self.automaton.sizes, self._valid_pairs
+        """The canonical rule of the pair with the least witness size, then the
+        least (i, j); each pair's rule is built once."""
+        sizes, pairs = self.automaton.sizes, self._index[0]
         best = min(pids, key=lambda pid: (sizes[pairs[pid][0]] + sizes[pairs[pid][1]], pid))
-        return self._rule_for(best)
+        rule = self._rules.get(best)
+        if rule is None:
+            i, j = pairs[best]
+            witnesses = self.automaton.witnesses
+            rule = self._rules[best] = canonical_rule(RewriteRule(witnesses[i], witnesses[j]))
+        return rule
 
     # -- spec surface ---------------------------------------------------------
 
     def justification_classes(self, a: str, b: str, c: str, d: str
                               ) -> set[tuple[BehaviorState, BehaviorState]]:
         """The class pairs representing the shared justification set."""
-        self._build_pairs()
-        left, right = self._side_sets
+        pairs, (left, right), _ = self._index
         pids = left.get((a, b), _EMPTY) & right.get((c, d), _EMPTY)
         return {
             (self.automaton.states[i], self.automaton.states[j])
-            for i, j in (self._valid_pairs[p] for p in pids)
+            for i, j in (pairs[p] for p in pids)
         }
 
     def is_trivial_pair(self, sigma: BehaviorState, tau: BehaviorState) -> bool:
@@ -339,12 +331,12 @@ class FragmentDecider:
 
         The counter is the first d2 whose shared set strictly contains
         ``shared``; for an empty ``shared`` that is the first non-empty one."""
-        sides = self._side_sets
+        _, sides, trivial = self._index
         lhs = sides[left].get((a, b), _EMPTY)
         rhs = sides[right].get((c, d), _EMPTY)
-        if lhs <= self._trivial and rhs <= self._trivial:
+        if lhs <= trivial and rhs <= trivial:
             return True, "all-trivial", None, frozenset()
-        lhs = lhs - self._trivial
+        lhs = lhs - trivial
         shared = lhs & rhs
         reason = "not-maximal" if shared else "empty-intersection"
         for d2 in self._carrier(right):
@@ -366,7 +358,6 @@ class FragmentDecider:
     def decide_arrow(self, a: str, b: str, c: str, d: str,
                      swap: bool = False) -> Verdict:
         """Decide ``a -> b :: c -> d`` (in the swapped pair when ``swap``)."""
-        self._build_pairs()
         left, right = (1, 0) if swap else (0, 1)
         holds, reason, counter, shared = self._arrow_status(left, right, a, b, c, d)
         witness = self._smallest_rule(shared) if reason == "maximal" else None
@@ -380,7 +371,6 @@ class FragmentDecider:
         witness of the first maximal arrow, and names that arrow when it is
         not ``a -> b :: c -> d`` itself.
         """
-        self._build_pairs()
         first_maximal = None
         for n, (left, right, *quad) in enumerate(self._arrows(a, b, c, d)):
             holds, reason, counter, shared = self._arrow_status(left, right, *quad)
@@ -396,12 +386,10 @@ class FragmentDecider:
 
     def solve(self, a: str, b: str, c: str) -> list[str]:
         """All d with a : b :: c : d, in carrier order of the second algebra."""
-        self._build_pairs()
         return [d for d in self._carrier(1) if self._holds(a, b, c, d)]
 
     def enumerate_all(self) -> list[tuple[str, str, str, str]]:
         """Every holding quadruple over the carrier pair."""
-        self._build_pairs()
         first, second = self._carrier(0), self._carrier(1)
         return [
             (a, b, c, d)

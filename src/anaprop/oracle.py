@@ -22,8 +22,8 @@ from typing import Optional
 
 from .algebras import FiniteAlgebra
 from .decider import (BehaviorState, FragmentDecider, check_occurrence_bound,
-                      check_same_signature, child_tuples, compose_table)
-from .terms import App, RewriteRule, Signature, Term, Var
+                      check_same_signature, child_tuples, compose_table, leaf_table, leaves)
+from .terms import App, RewriteRule, Signature, Term
 
 
 class OracleBudgetExceeded(Exception):
@@ -32,7 +32,8 @@ class OracleBudgetExceeded(Exception):
 
 def count_terms(signature: Signature, k: int, ell: Optional[int], depth: int,
                 limit: Optional[int] = None) -> int:
-    """The number of terms ``enumerate_terms`` lists, counted with no term built.
+    """The number of terms ``enumerate_terms`` lists, counted with no term
+    above the leaves built.
 
     Counts level by level, and under a finite ``ell`` by occurrence vector:
     a level's terms of one symbol are its child tuples over the terms known
@@ -57,13 +58,8 @@ def count_terms(signature: Signature, k: int, ell: Optional[int], depth: int,
             out = combine(out, terms)
         return out
 
-    level: dict[tuple[int, ...], int] = {}  # the previous level's terms, by occurrence vector
-    if ell is None or ell >= 1:
-        for v in range(k):
-            key = tuple(int(i == v) for i in range(dims))
-            level[key] = level.get(key, 0) + 1
-    if signature.constants():
-        level[(0,) * dims] = level.get((0,) * dims, 0) + len(signature.constants())
+    # the previous level's terms, by occurrence vector
+    level = Counter(occ[:dims] for _, occ in leaves(signature, k, ell))
     ranks = Counter(rank for _, rank in signature.symbols() if rank)  # rank -> its symbols
     total = sum(level.values())
     known: dict[tuple[int, ...], int] = {}  # the terms before the previous level
@@ -96,18 +92,10 @@ def enumerate_fragment(signature: Signature, k: int, ell: Optional[int], depth: 
     check_occurrence_bound(ell)
     if limit is not None and count_terms(signature, k, ell, depth, limit) > limit:
         raise OracleBudgetExceeded(f"term universe exceeds {limit} terms")
-    terms: list[Term] = []
-    children: list[tuple[int, ...]] = []
-    occs: list[tuple[int, ...]] = []
-    if ell is None or ell >= 1:  # a variable occurs once in itself
-        for v in range(k):
-            terms.append(Var(f"x{v + 1}"))
-            children.append(())
-            occs.append(tuple(1 if i == v else 0 for i in range(k)))
-    for sym in signature.constants():
-        terms.append(App(sym))
-        children.append(())
-        occs.append((0,) * k)
+    base = leaves(signature, k, ell)
+    terms: list[Term] = [term for term, _ in base]
+    children: list[tuple[int, ...]] = [()] * len(base)
+    occs: list[tuple[int, ...]] = [occ for _, occ in base]
     level_start = 0  # where the terms of the previous level begin
     for _ in range(depth):
         new_start = len(terms)  # children come from the terms known before this level
@@ -141,17 +129,11 @@ def term_tables(algebra: FiniteAlgebra, k: int, terms: list[Term],
     comes from its children's through the operation table, so ``children``
     must index earlier terms, as ``enumerate_fragment``'s do.
     """
-    assignments = list(itertools.product(range(len(algebra.carrier)), repeat=k))
-    columns = {f"x{v + 1}": column for v, column in enumerate(zip(*assignments))}
     ops = algebra.index_tables
     out: list[tuple[int, ...]] = []
     for term, combo in zip(terms, children):
-        if combo:
-            out.append(compose_table(ops[term.symbol], map(out.__getitem__, combo)))
-        elif isinstance(term, Var):
-            out.append(columns[term.name])
-        else:
-            out.append((algebra.index(algebra.constants[term.symbol]),) * len(assignments))
+        out.append(compose_table(ops[term.symbol], map(out.__getitem__, combo)) if combo
+                   else leaf_table(algebra, k, term))
     return out
 
 
@@ -181,10 +163,12 @@ class OracleUniverse(FragmentDecider):
     variable sets are interchangeable in every membership and comparison the
     proportion definition makes, so each such observation class becomes one
     behavior state and the decision is the decider's over these classes.
+    The classes are exact when ``depth`` is at least the behavior automaton's
+    state count, since every behavior class then has a term within the depth.
     """
 
     def __init__(self, first: FiniteAlgebra, second: Optional[FiniteAlgebra] = None,
-                 k: int = 1, ell: Optional[int] = None, depth: int = 3,
+                 k: int = 1, ell: Optional[int] = None, *, depth: int,
                  limit: Optional[int] = None):
         algebras = self._set_pair(first, second)
         check_same_signature(first, self.second)
@@ -202,7 +186,7 @@ class OracleUniverse(FragmentDecider):
             witnesses=[terms[i] for i in classes.values()],
             sizes=[sizes[i] for i in classes.values()])
         self.class_reps = self.automaton.witnesses
-        self._build_pairs()  # an oracle is built to be queried: index it with its terms
+        self._index  # an oracle is built to be queried: index it with its terms
 
     # the oracle's name for decide_proportion; an alias, not a wrapper, so
     # tracing (perfbench/tracing.py) sees one call per decision

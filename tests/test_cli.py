@@ -6,6 +6,7 @@ import weakref
 
 import pytest
 
+import anaprop.cli as cli
 from anaprop.algebras import FiniteAlgebra, algebra_to_json, save_finite_algebra
 from anaprop.cli import ORACLE_TERM_LIMIT, load_algebra, main, run
 from anaprop.oracle import OracleUniverse
@@ -60,6 +61,20 @@ class TestDecide:
             capsys, "decide", "a", "b", "a", "b", "--algebra", a2_path, "--engine", "oracle"
         )
         assert out1.split()[0] == out2.split()[0] == "holds"
+
+    def test_oracle_engine_leaves_its_decider_unindexed(self, capsys, a2_path, monkeypatch):
+        # the oracle engine builds a decider only to read its state count
+        built = []
+
+        class Spy(cli.FragmentDecider):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "FragmentDecider", Spy)
+        argv = ["decide", "a", "b", "a", "b", "--algebra", a2_path, "--engine", "oracle"]
+        assert invoke(capsys, *argv)[0] == 0
+        assert len(built) == 1 and "_index" not in vars(built[0])
 
     def test_engines_agree_on_golden_queries(self, capsys, a2_path):
         for quad in [("a", "b", "c", "d"), ("a", "b", "a", "b"), ("a", "a", "c", "c"),

@@ -226,10 +226,11 @@ class TestVerdictWitness:
             for quad in _quads(dec):
                 dec.decide_proportion(*quad)  # fills the memo along the way
             witnesses = dec.automaton.witnesses
-            for pid, (i, j) in enumerate(dec._valid_pairs):
+            for pid, (i, j) in enumerate(dec._index[0]):
                 fresh = canonical_rule(RewriteRule(witnesses[i], witnesses[j]))
-                assert dec._rule_for(pid) == fresh, (alg.name, pid)
-                assert dec._rule_for(pid) is dec._rule_for(pid)
+                rule = dec._smallest_rule(frozenset({pid}))
+                assert rule == fresh, (alg.name, pid)
+                assert rule is dec._smallest_rule(frozenset({pid}))
 
 
 def _quads(dec):
@@ -601,7 +602,7 @@ class TestPairIndex:
         in each algebra; it is trivial when it hits every (x, y) in every algebra."""
         auto = dec.automaton
         states = auto.states
-        supports = [s.used_vars for s in states]
+        supports = [frozenset(v for v, n in enumerate(s.occ) if n) for s in states]
         carriers = [alg.carrier for alg in auto.algebras]
         by_side = [{} for _ in auto.algebras]
         pairs, trivial = [], set()
@@ -623,17 +624,14 @@ class TestPairIndex:
         return pairs, sides, frozenset(trivial)
 
     def _check(self, dec):
-        dec._build_pairs()
-        pairs, sides, trivial = self._pairwise_reference(dec)
-        assert dec._valid_pairs == pairs
-        assert dec._side_sets == sides
-        assert dec._trivial == trivial
+        assert dec._index == self._pairwise_reference(dec)
+        pairs, sides, trivial = dec._index
         states = dec.automaton.states
-        assert dec._trivial == {pid for pid, (i, j) in enumerate(pairs)
-                                if dec.is_trivial_pair(states[i], states[j])}
+        assert trivial == {pid for pid, (i, j) in enumerate(pairs)
+                           if dec.is_trivial_pair(states[i], states[j])}
         # each pid is one int object, whichever sets hold it
-        held = [pid for side in dec._side_sets for cell in side.values() for pid in cell]
-        held += dec._trivial
+        held = [pid for side in sides for cell in side.values() for pid in cell]
+        held += trivial
         assert len({id(pid) for pid in held}) == len(set(held))
 
     def test_matches_pairwise_reference(self):
@@ -665,6 +663,21 @@ class TestPairIndex:
         for pair in [(alg_a1(), None), (alg_a2(), None), (alg_a3(), None), gpair]:
             for k, ell in itertools.product([0, 1, 2], [None, 1]):
                 self._check(FragmentDecider(*pair, k=k, ell=ell))
+
+    def test_decider_indexes_on_its_first_query(self):
+        queries = [lambda dec: dec.justification_classes("a", "b", "c", "d"),
+                   lambda dec: dec.decide_arrow("a", "b", "c", "d"),
+                   lambda dec: dec.decide_proportion("a", "b", "c", "d"),
+                   lambda dec: dec.solve("a", "b", "c"),
+                   lambda dec: dec.enumerate_all()]
+        for query in queries:
+            dec = FragmentDecider(alg_a2(), k=1)
+            assert dec.state_count > 0 and "_index" not in vars(dec)
+            query(dec)
+            assert "_index" in vars(dec)
+
+    def test_oracle_indexes_at_construction(self):
+        assert "_index" in vars(OracleUniverse(alg_a2(), k=1, depth=3))
 
 
 class TestOracleJustifications:
