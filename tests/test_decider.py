@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -441,6 +442,34 @@ def _shaped_cases(seed, rounds):
             yield algebras, rng.choice([0, 1, 2]), rng.choice([None, 0, 1, 2])
 
 
+def _table_algebra(rng, name, size, ranks, values=None):
+    """A random algebra on e0..e{size-1} with the given symbol ranks (rank 0: a
+    constant); its operations take values among the first ``values`` elements."""
+    carrier = tuple(f"e{i}" for i in range(size))
+    pool = carrier[:values or size]
+    return FiniteAlgebra(
+        name=name, carrier=carrier,
+        constants={sym: rng.choice(carrier) for sym, rank in ranks.items() if rank == 0},
+        ops={sym: {args: rng.choice(pool) for args in itertools.product(carrier, repeat=rank)}
+             for sym, rank in ranks.items() if rank})
+
+
+def _kernel_path_cases():
+    """``(algebras, k, ell, depth)`` around the sizes where a table stops fitting
+    one byte per entry (a carrier over 256 elements) or an operation's argument
+    codes stop fitting one byte (n ** rank over 256): a binary operation on 17
+    elements, a ternary one on 7 at k = 0, a unary one with a constant on 257
+    elements, and pairs whose carriers lie on either side of those sizes."""
+    rng = random.Random(3)
+    draw = functools.partial(_table_algebra, rng)
+    yield (draw("A", 17, {"h": 2}, 2),), 1, None, 3
+    yield (draw("A", 7, {"t": 3, "c0": 0}),), 0, None, 3
+    yield (draw("A", 257, {"f": 1, "c0": 0}),), 1, None, 6
+    yield (draw("A", 257, {"f": 1, "c0": 0}), draw("B", 4, {"f": 1, "c0": 0})), 1, None, 6
+    yield (draw("A", 17, {"h": 2}, 2), draw("B", 3, {"h": 2}, 2)), 1, None, 3
+    yield (draw("A", 7, {"t": 3, "c0": 0}), draw("B", 5, {"t": 3, "c0": 0})), 0, None, 2
+
+
 class TestOracleTables:
     """The universe's classes from its children's tables equal those of direct evaluation."""
 
@@ -491,6 +520,10 @@ class TestOracleTables:
                 algebras, k, ell, depth, 400), (case, k, ell, depth)
             shaped += 1
         assert shaped > 40
+        for case, (algebras, k, ell, depth) in enumerate(_kernel_path_cases()):
+            auto = OracleUniverse(*algebras, k=k, ell=ell, depth=depth, limit=2000).automaton
+            assert (auto.states, auto.witnesses, auto.sizes) == self._direct(
+                algebras, k, ell, depth, 2000), case
 
 
 class TestNegativeBound:
@@ -592,6 +625,9 @@ class TestAutomatonClosure:
             assert outcome(automaton, algebras, k, ell, cap) == want, (case, k, ell, cap)
             over += want == "over cap"
         assert 0 < over < 20
+        for case, (algebras, k, ell, _) in enumerate(_kernel_path_cases()):
+            want = self._product_reference(algebras, k, ell, 500)
+            assert automaton(algebras, k, ell, 500) == want, case
 
 
 class TestPairIndex:
