@@ -170,6 +170,21 @@ class FiniteAlgebra(Algebra):
             for sym, table in self.ops.items()
         }
 
+    @cached_property
+    def byte_tables(self) -> dict[str, bytes]:
+        """Each operation whose argument codes fit one byte, n ** rank <= 256 for
+        n elements, as a 256-byte table: the byte at code
+        ``sum(args[p] * n ** (rank - 1 - p))`` is the value's index at those
+        argument indices."""
+        n = len(self.carrier)
+        out = {}
+        for sym, table in self.index_tables.items():
+            rank = len(next(iter(table)))
+            if n ** rank <= 256:
+                codes = itertools.product(range(n), repeat=rank)
+                out[sym] = bytes(map(table.__getitem__, codes)).ljust(256, b"\0")
+        return out
+
     def index(self, element: str) -> int:
         return self.carrier.index(element)
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Optional
 
 from . import antiunify  # by module: tracing wraps antiunify.common_gens in place
@@ -93,46 +94,95 @@ def leaf_table(algebra: FiniteAlgebra, k: int, leaf: Term) -> tuple[int, ...]:
     return (algebra.index(algebra.constants[leaf.symbol]),) * n ** k
 
 
-def compose_table(op: dict[tuple[int, ...], int],
-                  child_tables: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
-    """A term's table from its operation's index table and its children's
-    tables, assignment by assignment."""
-    return tuple(map(op.__getitem__, zip(*child_tables)))
+class TableKernel:
+    """One algebra's term tables over the n ** k assignments of x1..xk, each
+    composed from the tables of its children.
+
+    A table is ``bytes`` when the carrier has at most 256 elements, else a tuple
+    of carrier indices.  ``add`` records the table of the next child index.
+    Where an operation's argument codes fit one byte (``FiniteAlgebra.byte_tables``),
+    a composite is its children's mixed-radix code, one byte per assignment,
+    passed through the operation's 256-byte table; elsewhere the operation's
+    index table is looked up assignment by assignment.
+    """
+
+    def __init__(self, algebra: FiniteAlgebra, k: int):
+        self.algebra = algebra
+        self.k = k
+        self.n = len(algebra.carrier)
+        self.translations = algebra.byte_tables
+        self.ops = algebra.index_tables
+        self.pack = bytes if self.n <= 256 else tuple
+        self.to_bytes = operator.methodcaller("to_bytes", self.n ** k, "big")
+        self.tables: list = []
+        self.codes: list[int] = []  # each byte table read as one big-endian int
+
+    def add(self, table) -> None:
+        self.tables.append(table)
+        if self.pack is bytes:
+            self.codes.append(int.from_bytes(table, "big"))
+
+    def leaf(self, leaf: Term):
+        return self.pack(leaf_table(self.algebra, self.k, leaf))
+
+    def compose(self, symbol: str, lead: tuple[int, ...], last: Iterable[int]) -> Iterator:
+        """The tables of ``symbol`` over the children ``lead`` then each of ``last``."""
+        translation = self.translations.get(symbol)
+        if translation is None:
+            op = self.ops[symbol]
+            leading = [self.tables[c] for c in lead]
+            return (self.pack(map(op.__getitem__, zip(*leading, self.tables[c]))) for c in last)
+        if not lead:
+            return map(bytes.translate, map(self.tables.__getitem__, last),
+                       itertools.repeat(translation))
+        code = 0  # the leading children's digits, each byte below n ** rank: no carries
+        for c in lead:
+            code = (code + self.codes[c]) * self.n
+        codes = map(code.__add__, map(self.codes.__getitem__, last))
+        return map(bytes.translate, map(self.to_bytes, codes), itertools.repeat(translation))
 
 
 def child_tuples(signature: Signature, k: int, ell: Optional[int],
                  occs: list[tuple[int, ...]], level_start: int
-                 ) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """The admissible ``(symbol, children)`` of one level, by symbol, then lexicographically.
+                 ) -> Iterator[tuple[str, tuple[int, ...], list[int]]]:
+    """The admissible child tuples of one level, as ``(symbol, leading
+    children, candidates for the last child)``; by symbol, then
+    lexicographically, the last child varying fastest.
 
     Children index ``occs``, the occurrence vectors of the terms known before
     the level.  Only admissible tuples are visited: child p is drawn from the
     terms whose occurrences fit within ``ell`` next to the children before it,
     and the last child from the previous level (at or past ``level_start``)
-    when no earlier one is.
+    when no earlier one is.  Callers must not change the candidate lists.
     """
     # occurrences still free per variable (None: unbounded) -> indices of the terms that fit
     fitting: dict[Optional[tuple[int, ...]], list[int]] = {}
+    lasts: dict[tuple[Optional[tuple[int, ...]], bool], list[int]] = {}
 
-    def tuples(rank: int, room: Optional[tuple[int, ...]], fresh: bool):
+    def fit(room: Optional[tuple[int, ...]]) -> list[int]:
         if room not in fitting:
             fitting[room] = [i for i, occ in enumerate(occs)
                              if room is None or all(n <= r for n, r in zip(occ, room))]
-        candidates = fitting[room]
+        return fitting[room]
+
+    def tuples(rank: int, room: Optional[tuple[int, ...]], fresh: bool):
         if rank == 1:
-            start = 0 if fresh else bisect.bisect_left(candidates, level_start)
-            for c in candidates[start:]:
-                yield (c,)
+            if (room, fresh) not in lasts:
+                candidates = fit(room)
+                lasts[room, fresh] = (candidates if fresh else
+                                      candidates[bisect.bisect_left(candidates, level_start):])
+            if lasts[room, fresh]:
+                yield (), lasts[room, fresh]
             return
-        for c in candidates:
+        for c in fit(room):
             rest = None if room is None else tuple(r - n for r, n in zip(room, occs[c]))
-            for tail in tuples(rank - 1, rest, fresh or c >= level_start):
-                yield (c, *tail)
+            for lead, last in tuples(rank - 1, rest, fresh or c >= level_start):
+                yield (c, *lead), last
 
     room = None if ell is None else (ell,) * k
     for sym, rank in signature.symbols():
         if rank:
-            yield from ((sym, combo) for combo in tuples(rank, room, False))
+            yield from ((sym, lead, last) for lead, last in tuples(rank, room, False))
 
 
 class BehaviorAutomaton:
@@ -151,47 +201,68 @@ class BehaviorAutomaton:
         self.ell = ell
         self.cap = cap
         self.states: list[BehaviorState] = []
-        self.index: dict[BehaviorState, int] = {}
         self.witnesses: list[Term] = []
         self.sizes: list[int] = []  # term_size of each state's witness
         self._build()
 
     def _build(self) -> None:
-        """Close the states round by round; a witness and its size are built
-        only for a state not seen before."""
-        states, index, witnesses, sizes = self.states, self.index, self.witnesses, self.sizes
+        """Close the states round by round, one batch of last children per
+        leading child tuple; a witness and its size are built only for a state
+        not seen before.
 
-        def admit(state: BehaviorState, witness: Term, size: int) -> None:
+        Inside the closure a state is its ``TableKernel`` tables and an
+        occurrence code: the support as a bitmask when l is unbounded (so a
+        bitwise or saturates the counts at 1), else the counts as digits in
+        base l + 1, which add without carry because every child tuple fits
+        within l."""
+        states, witnesses, sizes = self.states, self.witnesses, self.sizes
+        k, ell = self.k, self.ell
+        kernels = [TableKernel(alg, k) for alg in self.algebras]
+        base = 2 if ell is None else ell + 1
+        join = operator.or_ if ell is None else operator.add
+        occ_codes: list[int] = []
+        occ_vectors: dict[int, tuple[int, ...]] = {}  # occurrence code -> its vector
+        seen: set[tuple] = set()  # (table per algebra..., occurrence code) of each state
+
+        def admit(key: tuple, witness: Term, size: int) -> None:
             if len(states) >= self.cap:
                 raise StateCapExceeded(
                     f"behavior state space exceeds the cap of {self.cap} states"
                 )
-            index[state] = len(states)
-            states.append(state)
+            tables, occ = key[:-1], key[-1]
+            if occ not in occ_vectors:
+                occ_vectors[occ] = tuple(occ // base ** v % base for v in range(k))
+            states.append(BehaviorState(tuple(map(tuple, tables)), occ_vectors[occ]))
+            seen.add(key)
             witnesses.append(witness)
             sizes.append(size)
+            for kernel, table in zip(kernels, tables):
+                kernel.add(table)
+            occ_codes.append(occ)
 
-        for leaf, occ in leaves(self.signature, self.k, self.ell):
-            state = BehaviorState(
-                tuple(leaf_table(alg, self.k, leaf) for alg in self.algebras), occ)
-            if state not in index:
-                admit(state, leaf, 1)
-        op_tables = [alg.index_tables for alg in self.algebras]
-        occ_cap = itertools.repeat(1 if self.ell is None else self.ell + 1)
+        for leaf, occ in leaves(self.signature, k, ell):
+            key = (*(kernel.leaf(leaf) for kernel in kernels),
+                   sum(n * base ** v for v, n in enumerate(occ)))
+            if key not in seen:
+                admit(key, leaf, 1)
         level_start = 0
         while level_start < len(states):
             occs = [s.occ for s in states]
-            # per algebra, the table of each state known before the round
-            known = [[s.tables[m] for s in states] for m in range(len(op_tables))]
-            for sym, combo in child_tuples(self.signature, self.k, self.ell, occs, level_start):
-                state = BehaviorState(
-                    tuple(compose_table(ops[sym], map(tables.__getitem__, combo))
-                          for ops, tables in zip(op_tables, known)),
-                    tuple(map(min, map(sum, zip(*map(occs.__getitem__, combo))), occ_cap)))
-                if state not in index:
-                    admit(state, App(sym, tuple(map(witnesses.__getitem__, combo))),
-                          1 + sum(map(sizes.__getitem__, combo)))
+            for sym, lead, last in child_tuples(self.signature, k, ell, occs, level_start):
+                lead_occ = reduce(join, map(occ_codes.__getitem__, lead), 0)
+                keys = zip(*[kernel.compose(sym, lead, last) for kernel in kernels],
+                           map(join, itertools.repeat(lead_occ), map(occ_codes.__getitem__, last)))
+                for c, key in zip(last, keys):
+                    if key not in seen:
+                        combo = (*lead, c)
+                        admit(key, App(sym, tuple(map(witnesses.__getitem__, combo))),
+                              1 + sum(map(sizes.__getitem__, combo)))
             level_start = len(occs)
+
+    @cached_property
+    def index(self) -> dict[BehaviorState, int]:
+        """Each state's position in ``states``."""
+        return {state: i for i, state in enumerate(self.states)}
 
     @property
     def state_count(self) -> int:

@@ -16,13 +16,14 @@ counting them (``count_terms``) before any is built.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from types import SimpleNamespace
 from typing import Optional
 
 from .algebras import FiniteAlgebra
-from .decider import (BehaviorState, FragmentDecider, check_occurrence_bound,
-                      check_same_signature, child_tuples, compose_table, leaf_table, leaves)
+from .decider import (BehaviorState, FragmentDecider, TableKernel, check_occurrence_bound,
+                      check_same_signature, child_tuples, leaves)
 from .terms import App, RewriteRule, Signature, Term
 
 
@@ -99,10 +100,13 @@ def enumerate_fragment(signature: Signature, k: int, ell: Optional[int], depth: 
     level_start = 0  # where the terms of the previous level begin
     for _ in range(depth):
         new_start = len(terms)  # children come from the terms known before this level
-        for sym, combo in child_tuples(signature, k, ell, occs[:new_start], level_start):
-            terms.append(App(sym, tuple(map(terms.__getitem__, combo))))
-            children.append(combo)
-            occs.append(tuple(map(sum, zip(*map(occs.__getitem__, combo)))))
+        for sym, lead, last in child_tuples(signature, k, ell, occs[:new_start], level_start):
+            head = tuple(map(terms.__getitem__, lead))
+            lead_occ = tuple(map(sum, zip(*map(occs.__getitem__, lead), (0,) * k)))
+            for c in last:
+                terms.append(App(sym, (*head, terms[c])))
+                children.append((*lead, c))
+                occs.append(tuple(map(operator.add, lead_occ, occs[c])))
         if new_start == len(terms):
             break
         level_start = new_start
@@ -122,19 +126,22 @@ def enumerate_terms(signature: Signature, k: int, ell: Optional[int],
 
 
 def term_tables(algebra: FiniteAlgebra, k: int, terms: list[Term],
-                children: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+                children: list[tuple[int, ...]]) -> list:
     """Each term's values under every assignment of x1..xk, as carrier indices.
 
-    Assignments are in the order of ``algebra.assignments``.  A term's table
-    comes from its children's through the operation table, so ``children``
-    must index earlier terms, as ``enumerate_fragment``'s do.
+    Assignments are in the order of ``algebra.assignments``; a table is
+    ``bytes``, or a tuple over more than 256 elements (``TableKernel``).  A
+    term's table comes from its children's, so ``children`` must index earlier
+    terms, as ``enumerate_fragment``'s do.
     """
-    ops = algebra.index_tables
-    out: list[tuple[int, ...]] = []
+    kernel = TableKernel(algebra, k)
     for term, combo in zip(terms, children):
-        out.append(compose_table(ops[term.symbol], map(out.__getitem__, combo)) if combo
-                   else leaf_table(algebra, k, term))
-    return out
+        if combo:
+            table, = kernel.compose(term.symbol, combo[:-1], combo[-1:])
+        else:
+            table = kernel.leaf(term)
+        kernel.add(table)
+    return kernel.tables
 
 
 def oracle_justifications(a: str, b: str, algebra: FiniteAlgebra, k: int,
@@ -182,7 +189,8 @@ class OracleUniverse(FragmentDecider):
         for i, key in enumerate(zip(zip(*tables), supports)):
             classes.setdefault(key, i)
         self.automaton = SimpleNamespace(
-            algebras=algebras, states=[BehaviorState(*key) for key in classes],
+            algebras=algebras,
+            states=[BehaviorState(tuple(map(tuple, tabs)), support) for tabs, support in classes],
             witnesses=[terms[i] for i in classes.values()],
             sizes=[sizes[i] for i in classes.values()])
         self.class_reps = self.automaton.witnesses
