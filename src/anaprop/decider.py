@@ -69,8 +69,11 @@ def check_same_signature(first: FiniteAlgebra, *others: FiniteAlgebra) -> None:
                 f"algebras {first.name!r} and {other.name!r} have different signatures")
 
 
-def check_occurrence_bound(ell: Optional[int]) -> None:
-    """Refuse a negative occurrence bound: no term has fewer than 0 occurrences."""
+def check_fragment(k: int, ell: Optional[int]) -> None:
+    """Refuse a negative number of variables or occurrence bound: no term has
+    fewer than 0 of either."""
+    if k < 0:
+        raise ValueError(f"the number of variables k must be at least 0, got {k}")
     if ell is not None and ell < 0:
         raise ValueError(f"the occurrence bound l must be at least 0, got {ell}")
 
@@ -194,7 +197,7 @@ class BehaviorAutomaton:
         if not algebras:
             raise ValueError("need at least one algebra")
         check_same_signature(*algebras)
-        check_occurrence_bound(ell)
+        check_fragment(k, ell)
         self.algebras = algebras
         self.signature = algebras[0].signature
         self.k = k

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .algebras import FiniteAlgebra
-from .decider import (BehaviorState, FragmentDecider, TableKernel, check_occurrence_bound,
+from .decider import (BehaviorState, FragmentDecider, TableKernel, check_fragment,
                       check_same_signature, child_tuples, leaves)
 from .terms import App, RewriteRule, Signature, Term
 
@@ -41,7 +41,7 @@ def count_terms(signature: Signature, k: int, ell: Optional[int], depth: int,
     before the level, less those over the terms known before the previous
     level.  Stops once the count passes ``limit`` and returns it as it stands.
     """
-    check_occurrence_bound(ell)
+    check_fragment(k, ell)
     dims = 0 if ell is None else k  # occurrences matter only under a bound
 
     def combine(x: dict, y: dict) -> dict:
@@ -90,7 +90,7 @@ def enumerate_fragment(signature: Signature, k: int, ell: Optional[int], depth: 
     With a ``limit``, the terms are counted first (``count_terms``), and a
     universe of more terms raises OracleBudgetExceeded before any is built.
     """
-    check_occurrence_bound(ell)
+    check_fragment(k, ell)
     if limit is not None and count_terms(signature, k, ell, depth, limit) > limit:
         raise OracleBudgetExceeded(f"term universe exceeds {limit} terms")
     base = leaves(signature, k, ell)

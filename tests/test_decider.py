@@ -544,6 +544,37 @@ class TestNegativeBound:
             OracleUniverse(alg_a2(), k=1, ell=-1, depth=3)
 
 
+class TestNegativeVariableCount:
+    """k = -1 is refused, with or without a constant (one used to give 0 states,
+    the other a TypeError)."""
+
+    @staticmethod
+    def _algebras():
+        return alg_a2(), replace(alg_a2(), constants={"c0": "a"})
+
+    def test_automaton(self):
+        for alg in self._algebras():
+            with pytest.raises(ValueError, match="k must be at least 0, got -1"):
+                BehaviorAutomaton((alg,), k=-1)
+
+    def test_decider(self):
+        for alg in self._algebras():
+            with pytest.raises(ValueError, match="k must be at least 0, got -1"):
+                FragmentDecider(alg, k=-1)
+
+    def test_count_and_enumerate_terms(self):
+        for alg in self._algebras():
+            with pytest.raises(ValueError, match="k must be at least 0, got -1"):
+                count_terms(alg.signature, -1, None, 3)
+            with pytest.raises(ValueError, match="k must be at least 0, got -1"):
+                enumerate_terms(alg.signature, -1, None, 3)
+
+    def test_oracle_universe(self):
+        for alg in self._algebras():
+            with pytest.raises(ValueError, match="k must be at least 0, got -1"):
+                OracleUniverse(alg, k=-1, depth=3)
+
+
 class TestAutomatonClosure:
     @staticmethod
     def _product_reference(algebras, k, ell, cap):
