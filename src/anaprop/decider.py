@@ -168,24 +168,29 @@ def child_tuples(signature: Signature, k: int, ell: Optional[int],
                              if room is None or all(n <= r for n, r in zip(occ, room))]
         return fitting[room]
 
-    def tuples(rank: int, room: Optional[tuple[int, ...]], fresh: bool):
-        if rank == 1:
-            if (room, fresh) not in lasts:
-                candidates = fit(room)
-                lasts[room, fresh] = (candidates if fresh else
-                                      candidates[bisect.bisect_left(candidates, level_start):])
-            if lasts[room, fresh]:
-                yield (), lasts[room, fresh]
+    def last(room: Optional[tuple[int, ...]], fresh: bool) -> list[int]:
+        if (room, fresh) not in lasts:
+            candidates = fit(room)
+            lasts[room, fresh] = (candidates if fresh else
+                                  candidates[bisect.bisect_left(candidates, level_start):])
+        return lasts[room, fresh]
+
+    def leads(count: int, room: Optional[tuple[int, ...]], fresh: bool):
+        """The first ``count`` children, with the room and freshness they leave."""
+        if not count:
+            yield (), room, fresh
             return
         for c in fit(room):
             rest = None if room is None else tuple(r - n for r, n in zip(room, occs[c]))
-            for lead, last in tuples(rank - 1, rest, fresh or c >= level_start):
-                yield (c, *lead), last
+            for lead, left, later in leads(count - 1, rest, fresh or c >= level_start):
+                yield (c, *lead), left, later
 
     room = None if ell is None else (ell,) * k
     for sym, rank in signature.symbols():
         if rank:
-            yield from ((sym, lead, last) for lead, last in tuples(rank, room, False))
+            for lead, left, fresh in leads(rank - 1, room, False):
+                if last(left, fresh):
+                    yield sym, lead, last(left, fresh)
 
 
 class BehaviorAutomaton:
@@ -252,9 +257,11 @@ class BehaviorAutomaton:
         while level_start < len(states):
             occs = [s.occ for s in states]
             for sym, lead, last in child_tuples(self.signature, k, ell, occs, level_start):
-                lead_occ = reduce(join, map(occ_codes.__getitem__, lead), 0)
-                keys = zip(*[kernel.compose(sym, lead, last) for kernel in kernels],
-                           map(join, itertools.repeat(lead_occ), map(occ_codes.__getitem__, last)))
+                last_occs = map(occ_codes.__getitem__, last)
+                if lead:
+                    last_occs = map(join, itertools.repeat(
+                        reduce(join, map(occ_codes.__getitem__, lead))), last_occs)
+                keys = zip(*[kernel.compose(sym, lead, last) for kernel in kernels], last_occs)
                 for c, key in zip(last, keys):
                     if key not in seen:
                         combo = (*lead, c)
