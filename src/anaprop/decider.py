@@ -87,16 +87,6 @@ def leaves(signature: Signature, k: int, ell: Optional[int]) -> list[tuple[Term,
     return out
 
 
-def leaf_table(algebra: FiniteAlgebra, k: int, leaf: Term) -> tuple[int, ...]:
-    """A leaf's value under every assignment of x1..xk, as carrier indices, with
-    the assignments in ``itertools.product`` order."""
-    n = len(algebra.carrier)
-    if isinstance(leaf, Var):
-        v = int(leaf.name[1:]) - 1
-        return tuple(alpha[v] for alpha in itertools.product(range(n), repeat=k))
-    return (algebra.index(algebra.constants[leaf.symbol]),) * n ** k
-
-
 class TableKernel:
     """One algebra's term tables over the n ** k assignments of x1..xk, each
     composed from the tables of its children.
@@ -115,8 +105,9 @@ class TableKernel:
         self.n = len(algebra.carrier)
         self.translations = algebra.byte_tables
         self.ops = algebra.index_tables
+        self.length = self.n ** k  # the number of assignments
         self.pack = bytes if self.n <= 256 else tuple
-        self.to_bytes = operator.methodcaller("to_bytes", self.n ** k, "big")
+        self.to_bytes = operator.methodcaller("to_bytes", self.length, "big")
         self.tables: list = []
         self.codes: list[int] = []  # each byte table read as one big-endian int
 
@@ -126,7 +117,12 @@ class TableKernel:
             self.codes.append(int.from_bytes(table, "big"))
 
     def leaf(self, leaf: Term):
-        return self.pack(leaf_table(self.algebra, self.k, leaf))
+        """A leaf's table, with the assignments in ``itertools.product`` order."""
+        if isinstance(leaf, Var):
+            v = int(leaf.name[1:]) - 1
+            return self.pack(alpha[v] for alpha in itertools.product(range(self.n), repeat=self.k))
+        value = self.algebra.index(self.algebra.constants[leaf.symbol])
+        return self.pack((value,) * self.length)
 
     def compose(self, symbol: str, lead: tuple[int, ...], last: Iterable[int]) -> Iterator:
         """The tables of ``symbol`` over the children ``lead`` then each of ``last``."""
