@@ -218,10 +218,10 @@ def bounded_gens(value, algebra: FiniteAlgebra, k: int, depth: int) -> set[Term]
     """All terms to the given depth with <= k variables that can evaluate to ``value``."""
     from .oracle import enumerate_fragment, term_tables
 
-    terms, children, _ = enumerate_fragment(algebra.signature, k, None, depth)
+    terms, batches, _ = enumerate_fragment(algebra.signature, k, None, depth)
     if value not in algebra.carrier:
         return set()
     target = algebra.index(value)
     return {canonical_term(term)
-            for term, table in zip(terms, term_tables(algebra, k, terms, children))
+            for term, table in zip(terms, term_tables(algebra, k, terms, batches))
             if target in table}

@@ -92,7 +92,7 @@ class TableKernel:
     composed from the tables of its children.
 
     A table is ``bytes`` when the carrier has at most 256 elements, else a tuple
-    of carrier indices.  ``add`` records the table of the next child index.
+    of carrier indices.  ``add`` records the tables of the next child indices.
     Where an operation's argument codes fit one byte (``FiniteAlgebra.byte_tables``),
     a composite is its children's mixed-radix code, one byte per assignment,
     passed through the operation's 256-byte table; elsewhere the operation's
@@ -111,10 +111,11 @@ class TableKernel:
         self.tables: list = []
         self.codes: list[int] = []  # each byte table read as one big-endian int
 
-    def add(self, table) -> None:
-        self.tables.append(table)
-        if self.pack is bytes:
-            self.codes.append(int.from_bytes(table, "big"))
+    def add(self, tables: Iterable) -> None:
+        for table in tables:
+            self.tables.append(table)
+            if self.pack is bytes:
+                self.codes.append(int.from_bytes(table, "big"))
 
     def leaf(self, leaf: Term):
         """A leaf's table, with the assignments in ``itertools.product`` order."""
@@ -131,7 +132,7 @@ class TableKernel:
             op = self.ops[symbol]
             leading = [self.tables[c] for c in lead]
             return (self.pack(map(op.__getitem__, zip(*leading, self.tables[c]))) for c in last)
-        if not lead:
+        if not lead:  # a unary symbol's codes are its child's table as it stands
             return map(bytes.translate, map(self.tables.__getitem__, last),
                        itertools.repeat(translation))
         code = 0  # the leading children's digits, each byte below n ** rank: no carries
@@ -241,7 +242,7 @@ class BehaviorAutomaton:
             witnesses.append(witness)
             sizes.append(size)
             for kernel, table in zip(kernels, tables):
-                kernel.add(table)
+                kernel.add((table,))
             occ_codes.append(occ)
 
         for leaf, occ in leaves(self.signature, k, ell):

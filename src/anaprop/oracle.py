@@ -82,12 +82,18 @@ def count_terms(signature: Signature, k: int, ell: Optional[int], depth: int,
     return total
 
 
+_Batch = tuple[str, tuple[int, ...], list[int]]  # (symbol, leading children, last children)
+
+
 def enumerate_fragment(signature: Signature, k: int, ell: Optional[int], depth: int,
                        limit: Optional[int] = None
-                       ) -> tuple[list[Term], list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The terms of ``enumerate_terms`` with each one's child indices and occurrence vector.
+                       ) -> tuple[list[Term], list[_Batch], list[tuple[int, ...]]]:
+    """The terms of ``enumerate_terms``, the batches they were built in, and
+    each term's occurrence vector.
 
-    With a ``limit``, the terms are counted first (``count_terms``), and a
+    The leaves come first; every later term is one of a batch ``(symbol,
+    leading children, last children)`` of ``child_tuples``, the batches listed
+    in term order.  With a ``limit``, the terms are counted first (``count_terms``), and a
     universe of more terms raises OracleBudgetExceeded before any is built.
     """
     check_fragment(k, ell)
@@ -95,7 +101,7 @@ def enumerate_fragment(signature: Signature, k: int, ell: Optional[int], depth: 
         raise OracleBudgetExceeded(f"term universe exceeds {limit} terms")
     base = leaves(signature, k, ell)
     terms: list[Term] = [term for term, _ in base]
-    children: list[tuple[int, ...]] = [()] * len(base)
+    batches: list[_Batch] = []
     occs: list[tuple[int, ...]] = [occ for _, occ in base]
     level_start = 0  # where the terms of the previous level begin
     for _ in range(depth):
@@ -103,14 +109,14 @@ def enumerate_fragment(signature: Signature, k: int, ell: Optional[int], depth: 
         for sym, lead, last in child_tuples(signature, k, ell, occs[:new_start], level_start):
             head = tuple(map(terms.__getitem__, lead))
             lead_occ = tuple(map(sum, zip(*map(occs.__getitem__, lead), (0,) * k)))
+            batches.append((sym, lead, last))
             for c in last:
                 terms.append(App(sym, (*head, terms[c])))
-                children.append((*lead, c))
                 occs.append(tuple(map(operator.add, lead_occ, occs[c])))
         if new_start == len(terms):
             break
         level_start = new_start
-    return terms, children, occs
+    return terms, batches, occs
 
 
 def enumerate_terms(signature: Signature, k: int, ell: Optional[int],
@@ -126,32 +132,29 @@ def enumerate_terms(signature: Signature, k: int, ell: Optional[int],
 
 
 def term_tables(algebra: FiniteAlgebra, k: int, terms: list[Term],
-                children: list[tuple[int, ...]]) -> list:
+                batches: list[_Batch]) -> list:
     """Each term's values under every assignment of x1..xk, as carrier indices.
 
     Assignments are in the order of ``algebra.assignments``; a table is
-    ``bytes``, or a tuple over more than 256 elements (``TableKernel``).  A
-    term's table comes from its children's, so ``children`` must index earlier
-    terms, as ``enumerate_fragment``'s do.
+    ``bytes``, or a tuple over more than 256 elements (``TableKernel``).
+    ``terms`` and ``batches`` are ``enumerate_fragment``'s: the leaves, then
+    the terms of each batch, composed one batch at a time from earlier tables.
     """
     kernel = TableKernel(algebra, k)
-    for term, combo in zip(terms, children):
-        if combo:
-            table, = kernel.compose(term.symbol, combo[:-1], combo[-1:])
-        else:
-            table = kernel.leaf(term)
-        kernel.add(table)
+    kernel.add(map(kernel.leaf, terms[:len(terms) - sum(len(last) for _, _, last in batches)]))
+    for batch in batches:
+        kernel.add(kernel.compose(*batch))
     return kernel.tables
 
 
 def oracle_justifications(a: str, b: str, algebra: FiniteAlgebra, k: int,
                           ell: Optional[int], depth: int) -> set[RewriteRule]:
     """All in-fragment rules s -> t with a shared assignment sending s, t to a, b."""
-    terms, children, occs = enumerate_fragment(algebra.signature, k, ell, depth)
+    terms, batches, occs = enumerate_fragment(algebra.signature, k, ell, depth)
     if a not in algebra.carrier or b not in algebra.carrier:
         return set()
     hit = (algebra.index(a), algebra.index(b))
-    tables = term_tables(algebra, k, terms, children)
+    tables = term_tables(algebra, k, terms, batches)
     masks = [sum(1 << v for v, n in enumerate(occ) if n) for occ in occs]  # used variables
     out: set[RewriteRule] = set()
     for i, s in enumerate(terms):
@@ -179,11 +182,13 @@ class OracleUniverse(FragmentDecider):
                  limit: Optional[int] = None):
         algebras = self._set_pair(first, second)
         check_same_signature(first, self.second)
-        terms, children, occs = enumerate_fragment(first.signature, k, ell, depth, limit)
-        tables = [term_tables(alg, k, terms, children) for alg in algebras]
-        sizes: list[int] = []  # term_size of every term, from its children's
-        for combo in children:
-            sizes.append(1 + sum(map(sizes.__getitem__, combo)))
+        terms, batches, occs = enumerate_fragment(first.signature, k, ell, depth, limit)
+        tables = [term_tables(alg, k, terms, batches) for alg in algebras]
+        # term_size of every term, from its children's
+        sizes = [1] * (len(terms) - sum(len(last) for _, _, last in batches))
+        for _, lead, last in batches:
+            head = 1 + sum(map(sizes.__getitem__, lead))
+            sizes.extend(map(head.__add__, map(sizes.__getitem__, last)))
         classes: dict[tuple, int] = {}  # (tables, support) of each class -> its first term
         supports = (tuple(map(min, occ, itertools.repeat(1))) for occ in occs)
         for i, key in enumerate(zip(zip(*tables), supports)):

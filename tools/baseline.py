@@ -2,7 +2,6 @@
 
     python3 tools/baseline.py                    # every config: automaton and class-pair index
     python3 tools/baseline.py --automaton-only   # the closures only
-    python3 tools/baseline.py --config k2-n3-seed3
 
 A config's algebra has the carrier e0..e{n-1} and no constants; with
 ``rng = random.Random(seed)``, each symbol in the order listed gets the table
@@ -64,8 +63,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--automaton-only", action="store_true",
                         help="build the automata only, not the class-pair index")
-    parser.add_argument("--config", action="append", choices=sorted(CONFIGS),
-                        help="run this config only (repeatable; default: all, in listed order)")
     parser.add_argument("--in-process", metavar="CONFIG", choices=sorted(CONFIGS),
                         help=argparse.SUPPRESS)  # one config in this process
     args = parser.parse_args(argv)
@@ -73,7 +70,7 @@ def main(argv=None) -> int:
         print(json.dumps(measure(args.in_process, args.automaton_only)))
         return 0
     records = []
-    for name in args.config or CONFIGS:
+    for name in CONFIGS:
         cmd = [sys.executable, os.path.abspath(__file__), "--in-process", name]
         if args.automaton_only:
             cmd.append("--automaton-only")
