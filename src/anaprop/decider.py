@@ -132,9 +132,6 @@ class TableKernel:
             op = self.ops[symbol]
             leading = [self.tables[c] for c in lead]
             return (self.pack(map(op.__getitem__, zip(*leading, self.tables[c]))) for c in last)
-        if not lead:  # a unary symbol's codes are its child's table as it stands
-            return map(bytes.translate, map(self.tables.__getitem__, last),
-                       itertools.repeat(translation))
         code = 0  # the leading children's digits, each byte below n ** rank: no carries
         for c in lead:
             code = (code + self.codes[c]) * self.n
