@@ -2,6 +2,10 @@ import contextlib
 import gc
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -285,6 +289,45 @@ class TestAntiunify:
         assert "--depth" in err and "x>=0" in err
 
 
+class TestUsageErrors:
+    # a malformed command line exits 2 with empty stdout and one error line
+    # naming the culprit
+    @pytest.mark.parametrize("argv, culprits", [
+        (["decide", "a", "b", "c", "--algebra", "{a2}"], ["Missing argument 'D'."]),
+        (["lgg", "f(a)"], ["Missing argument 'SECOND'."]),
+        (["decide", "a", "b", "c", "d"], ["--algebra"]),
+        (["enumerate"], ["--algebra"]),
+        (["frobnicate", "a"], ["frobnicate"]),
+        (["--format", "xml", "lgg", "a", "b"], ["--format", "'xml'"]),
+        (["decide", "a", "b", "c", "d", "--algebra", "{a2}", "--k", "x"], ["--k", "'x'"]),
+        (["antiunify", "b", "b", "--algebra", "{a2}", "--depth", "x"], ["--depth", "'x'"]),
+        (["lgg", "a", "b", "c"], ["(c)"]),
+        (["decide", "a", "b", "c", "d", "--algebra"], ["--algebra"]),
+        (["decide", "a", "b", "c", "d", "--algebra", "{a2}", "--tokens=1"], ["--tokens"]),
+        (["decide", "a", "b", "c", "d", "--algebra", "{a2}", "--alg", "{a2}"], ["--alg'"]),
+        (["lgg", "a", "b", "--format", "json"], ["--format"]),
+        (["decide", "a", "b", "c", "d", "--algebra", "{a2}", "-h"], ["-h"]),
+    ])
+    def test_one_error_line(self, capsys, a2_path, argv, culprits):
+        status, out, err = invoke(capsys, *[arg.format(a2=a2_path) for arg in argv])
+        assert (status, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        for culprit in culprits:
+            assert culprit in err
+
+    def test_no_option_abbreviations(self, capsys, a2_path):
+        assert invoke(capsys, "decide", "a", "b", "c", "d", "--algebra", a2_path, "--eng",
+                      "oracle")[0] == 2
+        assert invoke(capsys, "--form", "json", "lgg", "a", "b")[0] == 2
+
+    def test_options_mix_with_operands(self, capsys, a2_path):
+        assert (invoke(capsys, "decide", "a", "--k=1", "b", "--algebra", a2_path, "c", "d")
+                == invoke(capsys, "decide", "a", "b", "c", "d", "--algebra", a2_path))
+
+    def test_double_dash_ends_the_options(self, capsys):
+        assert invoke(capsys, "lgg", "--", "-x", "f(-x)") == (0, "x1\n", "")
+
+
 class TestCheckRule:
     def test_nmul_rule(self, capsys):
         status, out, _ = invoke(
@@ -460,6 +503,24 @@ GOLDEN = [
 ]
 
 
+# the options each subcommand's --help lists (None: the top level), and the
+# defaults it shows
+QUERY_OPTIONS = ["--algebra", "--algebra2", "--k", "--l", "--engine", "--cap"]
+HELP_OPTIONS = {
+    None: ["--format"],
+    "decide": [*QUERY_OPTIONS, "--tokens", "--allow-empty"],
+    "solve": [*QUERY_OPTIONS, "--tokens", "--allow-empty"],
+    "enumerate": QUERY_OPTIONS,
+    "lgg": [],
+    "solve-tree": [],
+    "check-tree": [],
+    "antiunify": ["--algebra", "--k", "--depth"],
+    "check-rule": ["--algebra", "--algebra2", "--full", "--tokens", "--allow-empty"],
+}
+HELP_DEFAULTS = {"--k": "1", "--engine": "auto", "--cap": "1000000", "--format": "text",
+                 "--depth": "2"}
+
+
 class TestGoldenOutputs:
     def test_text(self, capsys, golden_paths):
         for argv, text, _ in GOLDEN:
@@ -480,6 +541,24 @@ class TestGoldenOutputs:
             status, out, _ = invoke(capsys, *([name] if name else []), "--help")
             assert status == 0, name
             assert out.startswith("Usage:"), name
+
+    def test_help_lists_every_option_with_its_default(self, capsys):
+        for name, options in HELP_OPTIONS.items():
+            status, out, err = invoke(capsys, *([name] if name else []), "--help")
+            assert (status, err) == (0, ""), name
+            text = " ".join(out.split())
+            assert set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text)) == {*options, "--help"}, name
+            for option in options:
+                if option in HELP_DEFAULTS:
+                    # the default follows the option before any other option
+                    shown = rf"{option} (?:(?!--).)*\bdefault: {HELP_DEFAULTS[option]}\b"
+                    assert re.search(shown, text), (name, option)
+
+    def test_help_lists_every_subcommand(self, capsys):
+        status, out, _ = invoke(capsys, "--help")
+        assert status == 0
+        for name in HELP_OPTIONS:
+            assert name is None or re.search(rf"^ +{name} ", out, re.M), name
 
 
 class TestLoadAlgebra:
@@ -527,3 +606,33 @@ class TestRedirectedStreams:
             del out, err
         gc.collect()
         assert [r for r in refs if r() is not None] == []
+
+
+class TestEntry:
+    # the console script as a process: ``anaprop = anaprop.cli:entry``
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    ENTRY = "import sys; from anaprop.cli import entry; entry()"
+
+    def process(self, code, *argv, stdout=subprocess.PIPE):
+        env = dict(os.environ, PYTHONPATH=os.path.join(self.ROOT, "src"))
+        return subprocess.run([sys.executable, "-c", code, *argv], cwd=self.ROOT, env=env,
+                              stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+    def test_exit_status_and_streams(self):
+        done = self.process(self.ENTRY, "decide", "a", "b", "c", "d",
+                            "--algebra", "algebras/a2.json")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("does not hold")
+        done = self.process(self.ENTRY, "decide", "a", "b", "c", "--algebra", "algebras/a2.json")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "error: Missing argument 'D'.\n")
+
+    def test_closed_output_is_no_error(self):
+        # the reader went away, as in ``anaprop ... | head``
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = self.process(self.ENTRY, "lgg", "f(a)", "f(b)", stdout=write)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, "")
