@@ -5,7 +5,15 @@ antiunify, check-rule.  Algebras are selected by preset name (zplus, qmul,
 nmul, word:<alphabet>, term:<sigfile>) or by a finite-algebra JSON file.
 Output is plain text by default; ``--format json`` emits one JSON record per
 line.  Exit status is 0 for every successfully executed query regardless of
-the verdict, and 2 for input errors.
+the verdict, and 2 for input errors and malformed command lines, each
+reported as one ``error: <message>`` line on stderr.
+
+The command line is read with argparse: one parser per subcommand and one for
+the top level, each built once at import from the subcommand's ``Option``
+table, so ``run`` only parses and dispatches.  argparse recognizes the options
+and separates them from the operands; the operand counts, the value checks,
+the messages and the ``--help`` texts are this module's own, so they read the
+same under every Python version.
 
 decide, solve and enumerate take their engine from the algebra: behavior
 automata over finite algebras (``--engine auto``, or ``oracle`` for the
@@ -15,12 +23,11 @@ where a left-out ``--l`` means 1 and ``--l inf`` is an input error.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
-from typing import Optional
-
-import click
+from typing import Callable, NamedTuple, Optional
 
 from . import antiunify
 from .algebras import (
@@ -66,7 +73,13 @@ from .terms import (
 )
 from .trees import check_tree_proportion, lgg, solve_tree_equation
 
+
+class UsageError(Exception):
+    """A malformed command line."""
+
+
 INPUT_ERRORS = (
+    UsageError,
     ValueError,
     KeyError,
     AlgebraFormatError,
@@ -91,12 +104,7 @@ class Output:
         self.fmt = fmt
 
     def emit(self, record: dict, text: str) -> None:
-        # click.echo without a stream keeps each stream it has written to in a
-        # cache that never releases it, so every redirected stream would leak
-        if self.fmt == "json":
-            click.echo(json.dumps(record, sort_keys=True), file=sys.stdout)
-        else:
-            click.echo(text, file=sys.stdout)
+        print(json.dumps(record, sort_keys=True) if self.fmt == "json" else text)
 
 
 def load_algebra(spec: str, allow_empty: bool = False) -> Algebra:
@@ -134,32 +142,178 @@ def _parse_ell(value: Optional[str]) -> Optional[int]:
     return n
 
 
-algebra_option = click.option("--algebra", "algebra_spec", required=True,
-                              help="preset name or finite-algebra file")
-algebra2_option = click.option("--algebra2", "algebra2_spec", default=None,
-                               help="second algebra of the pair (defaults to the first)")
-k_option = click.option("--k", default=1, show_default=True, type=click.IntRange(min=1),
-                        help="number of distinct variables in justifications")
-l_option = click.option("--l", "ell", default=None,
-                        help="occurrence bound per variable (integer or 'inf')")
-engine_option = click.option("--engine", default="auto", show_default=True,
-                             type=click.Choice(["auto", "oracle"]))
-cap_option = click.option("--cap", default=10 ** 6, show_default=True,
-                          type=click.IntRange(min=1),
-                          help="behavior-state cap for the automata engine")
-tokens_option = click.option("--tokens", is_flag=True,
-                             help="read words as space-separated multi-character symbols")
-allow_empty_option = click.option("--allow-empty", is_flag=True,
-                                  help="admit the empty word in word algebras")
+class Option(NamedTuple):
+    """A command-line option, passed to its subcommand as the keyword ``dest``.
+
+    An option with a ``minimum`` takes an integer of at least that, one with
+    ``choices`` one of them, a ``flag`` no value, and any other a string.
+    """
+
+    name: str
+    dest: str
+    help: str = ""
+    default: object = None
+    required: bool = False
+    minimum: Optional[int] = None
+    choices: tuple[str, ...] = ()
+    flag: bool = False
+
+    def value(self, given):
+        """The value passed on: the default when left out (``given`` is None)."""
+        if self.flag:
+            return given
+        if given is None:
+            if self.required:
+                raise UsageError(f"Missing option {self.name!r}.")
+            return self.default
+        if self.choices and given not in self.choices:
+            raise UsageError(f"Invalid value for {self.name!r}: {given!r} is not one of "
+                             f"{', '.join(map(repr, self.choices))}.")
+        if self.minimum is None:
+            return given
+        try:
+            number = int(given)
+        except ValueError:
+            raise UsageError(f"Invalid value for {self.name!r}: {given!r} is not a valid "
+                             f"integer range.") from None
+        if number < self.minimum:
+            raise UsageError(f"Invalid value for {self.name!r}: {number} is not in the range "
+                             f"x>={self.minimum}.")
+        return number
+
+    def row(self) -> tuple[str, str]:
+        """The option's line of --help: how to give it, and what it does."""
+        notes = [] if self.flag or self.default is None else [f"default: {self.default}"]
+        if self.minimum is not None:
+            metavar, notes = " INTEGER RANGE", notes + [f"x>={self.minimum}"]
+        elif self.choices:
+            metavar = f" [{'|'.join(self.choices)}]"
+        else:
+            metavar = "" if self.flag else " TEXT"
+        if self.required:
+            notes.append("required")
+        text = "  ".join(filter(None, [self.help, notes and f"[{'; '.join(notes)}]"]))
+        return self.name + metavar, text
 
 
-@click.group()
-@click.option("--format", "fmt", default="text", show_default=True,
-              type=click.Choice(["text", "json"]))
-@click.pass_context
-def main(ctx: click.Context, fmt: str) -> None:
-    """Analogical proportions: decide, solve and enumerate a : b :: c : d."""
-    ctx.obj = Output(fmt)
+HELP = Option("--help", "help", "Show this message and exit.", flag=True)
+FORMAT = Option("--format", "fmt", default="text", choices=("text", "json"))
+ALGEBRA = Option("--algebra", "algebra_spec", "preset name or finite-algebra file",
+                 required=True)
+ALGEBRA2 = Option("--algebra2", "algebra2_spec",
+                  "second algebra of the pair (defaults to the first)")
+K = Option("--k", "k", "number of distinct variables in justifications", default=1, minimum=1)
+ELL = Option("--l", "ell", "occurrence bound per variable (integer or 'inf')")
+ENGINE = Option("--engine", "engine", default="auto", choices=("auto", "oracle"))
+CAP = Option("--cap", "cap", "behavior-state cap for the automata engine", default=10 ** 6,
+             minimum=1)
+TOKENS = Option("--tokens", "tokens", "read words as space-separated multi-character symbols",
+                flag=True)
+ALLOW_EMPTY = Option("--allow-empty", "allow_empty", "admit the empty word in word algebras",
+                     flag=True)
+DEPTH = Option("--depth", "depth", "term depth for finite algebras", default=2, minimum=0)
+FULL = Option("--full", "full",
+              "require all four uniqueness conditions (pins the full proportion)", flag=True)
+QUERY_OPTIONS = (ALGEBRA, ALGEBRA2, K, ELL, ENGINE, CAP)
+
+
+def _parser(options: tuple[Option, ...]) -> argparse.ArgumentParser:
+    """A parser of ``options``; what it leaves are operands and unknown options."""
+    parser = argparse.ArgumentParser(prog="anaprop", add_help=False, allow_abbrev=False,
+                                     exit_on_error=False)
+    for option in options:
+        if option.flag:
+            parser.add_argument(option.name, dest=option.dest, action="store_true")
+        else:
+            parser.add_argument(option.name, dest=option.dest)
+    return parser
+
+
+def _read(parser: argparse.ArgumentParser, options: tuple[Option, ...],
+          args: list[str]) -> tuple[dict, list[str]]:
+    """The raw option values in ``args`` (None if left out) and the other tokens, '--' dropped."""
+    try:
+        values, rest = parser.parse_known_args(args)
+    except argparse.ArgumentError as exc:
+        # only raised here for a value missing after an option or given to a flag
+        name = exc.argument_name
+        flag = any(option.flag for option in options if option.name == name)
+        problem = "does not take a value" if flag else "requires an argument"
+        raise UsageError(f"Option {name!r} {problem}.") from None
+    end = rest.index("--") if "--" in rest else len(rest)
+    for token in rest[:end]:
+        # negative numbers included: they go after '--'
+        if token.startswith("-") and len(token) > 1:
+            raise _no_such("option", token.split("=", 1)[0],
+                           [option.name for option in options])
+    return vars(values), rest[:end] + rest[end + 1:]
+
+
+def _no_such(kind: str, name: str, known: list[str]) -> UsageError:
+    """The error for an unknown option or command, naming the known ones close to it."""
+    import difflib  # only a mistyped command line needs it
+
+    close = sorted(difflib.get_close_matches(name, known))
+    hint = ""
+    if len(close) == 1:
+        hint = f" Did you mean {close[0]!r}?"
+    elif close:
+        hint = f" (Did you mean one of: {', '.join(map(repr, close))}?)"
+    return UsageError(f"No such {kind} {name!r}.{hint}")
+
+
+def _help(usage: str, summary: str, sections: dict[str, list[tuple[str, str]]]) -> str:
+    """A --help text: the usage, the summary, then each section's rows in two columns.
+
+    The lines are at most 78 characters wide, unless a word is longer.
+    """
+    import textwrap  # only --help needs it
+
+    lines = [f"Usage: anaprop {usage}", *(["", f"  {summary}"] if summary else [])]
+    for title, rows in sections.items():
+        width = max(len(term) for term, _ in rows)
+        lines += ["", f"{title}:"]
+        for term, text in rows:
+            first, *more = textwrap.wrap(text, 78 - 4 - width) or [""]
+            lines.append(f"  {term:<{width}}  {first}".rstrip())
+            lines += [" " * (width + 4) + line for line in more]
+    return "\n".join(lines)
+
+
+class Command(NamedTuple):
+    """A subcommand: its handler and summary, its operands' names, its options (--help
+    last) and its parser."""
+
+    handler: Callable
+    summary: str
+    operands: tuple[str, ...]
+    options: tuple[Option, ...]
+    parser: argparse.ArgumentParser
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def command(name: str, operands: str, *options: Option):
+    """Register the decorated function as subcommand ``name``.
+
+    It is called with the Output, the operands in order and each option's
+    value as a keyword.
+    """
+    def register(handler: Callable) -> Callable:
+        with_help = (*options, HELP)
+        # the docstring, which ``python -OO`` strips
+        COMMANDS[name] = Command(handler, handler.__doc__ or "", tuple(operands.split()),
+                                 with_help, _parser(with_help))
+        return handler
+    return register
+
+
+MAIN_OPTIONS = (FORMAT, HELP)
+MAIN_PARSER = _parser(MAIN_OPTIONS)
+# the subcommand and everything after it, its options too, go to its own parser
+MAIN_PARSER.add_argument("command", nargs=argparse.REMAINDER)
+SUMMARY = "Analogical proportions: decide, solve and enumerate a : b :: c : d."
 
 
 def _load_pair(spec1: str, spec2: Optional[str], allow_empty: bool):
@@ -270,21 +424,7 @@ def _solutions(eng, algebra: Algebra, a, b, c) -> tuple[list, Optional[dict]]:
     return sorted(str(d) for d in solve_mono_mul(a, b, c, domain=_mul_domain(algebra))), None
 
 
-def _query_options(command):
-    """The options shared by decide and solve."""
-    for option in reversed([algebra_option, algebra2_option, k_option, l_option, engine_option,
-                            cap_option, tokens_option, allow_empty_option,
-                            click.pass_obj]):
-        command = option(command)
-    return command
-
-
-@main.command()
-@click.argument("a")
-@click.argument("b")
-@click.argument("c")
-@click.argument("d")
-@_query_options
+@command("decide", "A B C D", *QUERY_OPTIONS, TOKENS, ALLOW_EMPTY)
 def decide(out: Output, a: str, b: str, c: str, d: str, algebra_spec: str,
            algebra2_spec: Optional[str], k: int, ell: Optional[str], engine: str,
            cap: int, tokens: bool, allow_empty: bool) -> None:
@@ -297,11 +437,7 @@ def decide(out: Output, a: str, b: str, c: str, d: str, algebra_spec: str,
              f"{'holds' if holds else 'does not hold'} ({detail})")
 
 
-@main.command()
-@click.argument("a")
-@click.argument("b")
-@click.argument("c")
-@_query_options
+@command("solve", "A B C", *QUERY_OPTIONS, TOKENS, ALLOW_EMPTY)
 def solve(out: Output, a: str, b: str, c: str, algebra_spec: str,
           algebra2_spec: Optional[str], k: int, ell: Optional[str], engine: str,
           cap: int, tokens: bool, allow_empty: bool) -> None:
@@ -318,14 +454,7 @@ def solve(out: Output, a: str, b: str, c: str, algebra_spec: str,
     out.emit(record, "\n".join(lines))
 
 
-@main.command(name="enumerate")
-@algebra_option
-@algebra2_option
-@k_option
-@l_option
-@engine_option
-@cap_option
-@click.pass_obj
+@command("enumerate", "", *QUERY_OPTIONS)
 def enumerate_command(out: Output, algebra_spec: str, algebra2_spec: Optional[str],
                       k: int, ell: Optional[str], engine: str, cap: int) -> None:
     """List every holding quadruple of a finite algebra pair."""
@@ -339,10 +468,7 @@ def enumerate_command(out: Output, algebra_spec: str, algebra2_spec: Optional[st
     )
 
 
-@main.command(name="lgg")
-@click.argument("first")
-@click.argument("second")
-@click.pass_obj
+@command("lgg", "FIRST SECOND")
 def lgg_command(out: Output, first: str, second: str) -> None:
     """Least general generalization of two terms (prefix syntax)."""
     t1, t2 = parse_term(first), parse_term(second)
@@ -351,11 +477,7 @@ def lgg_command(out: Output, first: str, second: str) -> None:
     out.emit({"command": "lgg", "term": render(result)}, render(result))
 
 
-@main.command(name="solve-tree")
-@click.argument("p")
-@click.argument("q")
-@click.argument("r")
-@click.pass_obj
+@command("solve-tree", "P Q R")
 def solve_tree_command(out: Output, p: str, q: str, r: str) -> None:
     """Exact solutions of the tree arrow equation P -> Q :: R -> x."""
     tp, tq, tr = parse_term(p), parse_term(q), parse_term(r)
@@ -367,12 +489,7 @@ def solve_tree_command(out: Output, p: str, q: str, r: str) -> None:
     )
 
 
-@main.command(name="check-tree")
-@click.argument("p")
-@click.argument("q")
-@click.argument("r")
-@click.argument("u")
-@click.pass_obj
+@command("check-tree", "P Q R U")
 def check_tree_command(out: Output, p: str, q: str, r: str, u: str) -> None:
     """Sufficient check of the tree proportion P : Q :: R : U."""
     terms = [parse_term(x) for x in (p, q, r, u)]
@@ -384,19 +501,16 @@ def check_tree_command(out: Output, p: str, q: str, r: str, u: str) -> None:
     )
 
 
-@main.command(name="antiunify")
-@click.argument("a")
-@click.argument("b")
-@algebra_option
-@k_option
-@click.option("--depth", default=2, show_default=True, type=click.IntRange(min=0),
-              help="term depth for finite algebras")
-@click.pass_obj
+@command("antiunify", "A B", ALGEBRA, K, DEPTH)
 def antiunify_command(out: Output, a: str, b: str, algebra_spec: str, k: int,
                       depth: int) -> None:
     """Common generalizations and their minima for two elements."""
     algebra = load_algebra(algebra_spec)
     if isinstance(algebra, NaturalMultiplication):
+        # both bound the terms of the finite-algebra search, which nmul does not run
+        for option, value in ((K, k), (DEPTH, depth)):
+            if value != option.default:
+                raise ValueError(f"antiunify over nmul takes no {option.name}; leave it out")
         va, vb = algebra.parse_element(a), algebra.parse_element(b)
         shared = sorted(str(m) for m in antiunify.common_gens(va, vb))
         minima = sorted(str(m) for m in antiunify.mgg(va, vb))
@@ -419,19 +533,7 @@ def antiunify_command(out: Output, a: str, b: str, algebra_spec: str, k: int,
         raise ValueError("antiunify supports the nmul preset and finite algebras")
 
 
-@main.command(name="check-rule")
-@click.argument("rule")
-@click.argument("a")
-@click.argument("b")
-@click.argument("c")
-@click.argument("d")
-@algebra_option
-@algebra2_option
-@click.option("--full", is_flag=True,
-              help="require all four uniqueness conditions (pins the full proportion)")
-@tokens_option
-@allow_empty_option
-@click.pass_obj
+@command("check-rule", "RULE A B C D", ALGEBRA, ALGEBRA2, FULL, TOKENS, ALLOW_EMPTY)
 def check_rule_command(out: Output, rule: str, a: str, b: str, c: str, d: str,
                        algebra_spec: str, algebra2_spec: Optional[str], full: bool,
                        tokens: bool, allow_empty: bool) -> None:
@@ -453,26 +555,62 @@ def check_rule_command(out: Output, rule: str, a: str, b: str, c: str, d: str,
     )
 
 
+def _dispatch(argv: list[str]) -> int:
+    top, _ = _read(MAIN_PARSER, MAIN_OPTIONS, argv)
+    if top["help"]:
+        print(_help("[OPTIONS] COMMAND [ARGS]...", SUMMARY, {
+            "Options": [option.row() for option in MAIN_OPTIONS],
+            "Commands": [(name, COMMANDS[name].summary) for name in sorted(COMMANDS)],
+        }))
+        return 0
+    out = Output(FORMAT.value(top["fmt"]))
+    command = top["command"]
+    if command[:1] == ["--"]:  # the end of the top-level options
+        del command[0]
+    if not command:
+        raise UsageError("Missing command.")
+    name, *args = command
+    if name not in COMMANDS:
+        raise _no_such("command", name, list(COMMANDS))
+    handler, summary, operands, options, parser = COMMANDS[name]
+    values, given = _read(parser, options, args)
+    if values["help"]:
+        print(_help(" ".join([name, "[OPTIONS]", *operands]), summary,
+                    {"Options": [option.row() for option in options]}))
+        return 0
+    if len(given) < len(operands):
+        raise UsageError(f"Missing argument {operands[len(given)]!r}.")
+    kwargs = {option.dest: option.value(values[option.dest])
+              for option in options if option is not HELP}
+    extra = given[len(operands):]
+    if extra:
+        raise UsageError(f"Got unexpected extra argument{'s' if len(extra) > 1 else ''} "
+                         f"({' '.join(extra)})")
+    handler(out, *given, **kwargs)
+    return 0
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     """Programmatic entry point returning the exit status."""
     try:
-        main.main(args=argv, standalone_mode=False)
-        return 0
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", file=sys.stderr)
-        return 2
+        return _dispatch(sys.argv[1:] if argv is None else argv)
+    except BrokenPipeError:
+        raise  # not an input error: the reader of the output went away
     except INPUT_ERRORS as exc:
-        click.echo(f"error: {exc}", file=sys.stderr)
-        return 2
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show()
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entry() -> None:
-    sys.exit(run())
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as in ``anaprop enumerate ... | head``: exit 1 without a traceback,
+        # and without another one when Python flushes stdout on exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

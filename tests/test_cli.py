@@ -12,7 +12,7 @@ import pytest
 
 import anaprop.cli as cli
 from anaprop.algebras import FiniteAlgebra, algebra_to_json, save_finite_algebra
-from anaprop.cli import ORACLE_TERM_LIMIT, load_algebra, main, run
+from anaprop.cli import COMMANDS, ORACLE_TERM_LIMIT, load_algebra, run
 from anaprop.oracle import OracleUniverse
 from anaprop.algebras import IntAddition, NaturalMultiplication, WordConcatenation
 
@@ -288,6 +288,12 @@ class TestAntiunify:
         assert out == ""
         assert "--depth" in err and "x>=0" in err
 
+    @pytest.mark.parametrize("option", [["--k", "3"], ["--depth", "0"]])
+    def test_nmul_takes_no_k_or_depth(self, capsys, option):
+        # both bound the terms of the finite-algebra search, which nmul does not run
+        assert invoke(capsys, "antiunify", "20", "30", "--algebra", "nmul", *option) == (
+            2, "", f"error: antiunify over nmul takes no {option[0]}; leave it out\n")
+
 
 class TestUsageErrors:
     # a malformed command line exits 2 with empty stdout and one error line
@@ -537,7 +543,7 @@ class TestGoldenOutputs:
             assert record["command"] == argv[0]
 
     def test_help_of_every_subcommand(self, capsys):
-        for name in [None, *main.commands]:
+        for name in [None, *COMMANDS]:
             status, out, _ = invoke(capsys, *([name] if name else []), "--help")
             assert status == 0, name
             assert out.startswith("Usage:"), name
@@ -613,9 +619,9 @@ class TestEntry:
     ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ENTRY = "import sys; from anaprop.cli import entry; entry()"
 
-    def process(self, code, *argv, stdout=subprocess.PIPE):
+    def process(self, code, *argv, stdout=subprocess.PIPE, flags=()):
         env = dict(os.environ, PYTHONPATH=os.path.join(self.ROOT, "src"))
-        return subprocess.run([sys.executable, "-c", code, *argv], cwd=self.ROOT, env=env,
+        return subprocess.run([sys.executable, *flags, "-c", code, *argv], cwd=self.ROOT, env=env,
                               stdout=stdout, stderr=subprocess.PIPE, text=True)
 
     def test_exit_status_and_streams(self):
@@ -636,3 +642,14 @@ class TestEntry:
         finally:
             os.close(write)
         assert (done.returncode, done.stderr) == (1, "")
+
+    def test_help_without_docstrings(self):
+        # python -OO strips the docstrings that the help texts quote
+        for argv in (["--help"], ["lgg", "--help"]):
+            done = self.process(self.ENTRY, *argv, flags=["-OO"])
+            assert (done.returncode, done.stderr) == (0, ""), argv
+            assert done.stdout.startswith("Usage:"), argv
+
+    def test_imports_no_third_party_parser(self):
+        done = self.process("import sys, anaprop.cli; print('click' in sys.modules)")
+        assert (done.returncode, done.stdout) == (0, "False\n")
