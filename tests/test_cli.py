@@ -17,6 +17,9 @@ from anaprop.oracle import OracleUniverse
 from anaprop.algebras import IntAddition, NaturalMultiplication, WordConcatenation
 
 
+ALGEBRAS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "algebras")
+
+
 def invoke(capsys, *argv):
     status = run(list(argv))
     captured = capsys.readouterr()
@@ -460,10 +463,30 @@ def golden_paths(tmp_path, a2_path):
     ]:
         paths[name] = str(tmp_path / f"{name}.json")
         save_finite_algebra(alg, paths[name])
+    for name in ("a3", "gpair_source", "gpair_target"):
+        paths[name] = os.path.join(ALGEBRAS, f"{name}.json")
     return paths
 
 
-# one call per engine branch of decide and solve: (argv, text stdout, JSON keys);
+def enumerated(quads: str) -> str:
+    """The text of ``enumerate`` for quadruples written as four-letter words."""
+    return "\n".join("{} : {} :: {} : {}".format(*quad) for quad in quads.split())
+
+
+# every quadruple of a2 that holds at k = 1, and also at k = 2, l = 1
+A2_QUADRUPLES = """
+aaaa aabb aacc aadd abab acac acad acbc acbd acca accb accd acda acdb acdc adac
+adad adbc adbd adca adcb adcd adda addb addc baba bbaa bbbb bbcc bbdd bcac bcad
+bcbc bcbd bcca bccb bccd bcda bcdb bcdc bdac bdad bdbc bdbd bdca bdcb bdcd bdda
+bddb bddc caac caad cabc cabd caca cacb cacd cada cadb cadc cbac cbad cbbc cbbd
+cbca cbcb cbcd cbda cbdb cbdc ccaa ccbb cccc ccdd cdac cdad cdbc cdbd cdca cdcb
+cdcd cdda cddb cddc daac daad dabc dabd daca dacb dacd dada dadb dadc dbac dbad
+dbbc dbbd dbca dbcb dbcd dbda dbdb dbdc dcac dcad dcbc dcbd dcca dccb dccd dcda
+dcdb dcdc ddaa ddbb ddcc dddd
+"""
+
+
+# one call per engine branch of decide, solve and enumerate: (argv, text stdout, JSON keys);
 # "{name}" stands for the path of a golden_paths algebra
 DECISION_KEYS = {"command", "holds", "reason", "witness", "counter", "arrow"}
 GOLDEN = [
@@ -506,6 +529,15 @@ GOLDEN = [
     (["solve", "a", "b", "a", "--algebra", "{a2}"], "{b}", {"command", "solutions"}),
     (["solve", "a", "b", "a", "--algebra", "{a2}", "--engine", "oracle"], "{b}",
      {"command", "solutions"}),
+    (["enumerate", "--algebra", "{a2}"], enumerated(A2_QUADRUPLES), {"command", "quadruples"}),
+    (["enumerate", "--algebra", "{gpair_source}", "--algebra2", "{gpair_target}"],
+     enumerated("aaee aaff abef bafe bbee bbff ccee ccff cdef dcfe ddee ddff"),
+     {"command", "quadruples"}),
+    (["enumerate", "--algebra", "{a2}", "--k", "2", "--l", "1"], enumerated(A2_QUADRUPLES),
+     {"command", "quadruples"}),
+    (["enumerate", "--algebra", "{a3}", "--engine", "oracle"],
+     enumerated("aaaa aabb aacc abab acac baba bbaa bbbb bbcc bcbc caca cbcb ccaa ccbb cccc"),
+     {"command", "quadruples"}),
 ]
 
 
