@@ -446,34 +446,58 @@ class FragmentDecider:
         witness of the first maximal arrow, and names that arrow when it is
         not ``a -> b :: c -> d`` itself.
         """
+        arrows = self._arrows(a, b, c, d)
         first_maximal = None
-        for n, (left, right, *quad) in enumerate(self._arrows(a, b, c, d)):
-            holds, reason, counter, shared = self._arrow_status(left, right, *quad)
+        for arrow in arrows:
+            holds, reason, counter, shared = self._arrow_status(*arrow)
             if not holds:
-                return Verdict(False, reason, counter=counter, arrow=_arrow_label(*quad))
+                return Verdict(False, reason, counter=counter, arrow=_arrow_label(*arrow[2:]))
             if reason == "maximal" and first_maximal is None:
-                first_maximal = (n, quad, shared)
+                first_maximal = arrow, shared
         if first_maximal is None:
             return Verdict(True, "all-trivial")
-        n, quad, shared = first_maximal
+        arrow, shared = first_maximal
         return Verdict(True, "maximal", witness=self._smallest_rule(shared),
-                       arrow=_arrow_label(*quad) if n else None)
+                       arrow=None if arrow is arrows[0] else _arrow_label(*arrow[2:]))
 
     def solve(self, a: str, b: str, c: str) -> list[str]:
         """All d with a : b :: c : d, in carrier order of the second algebra."""
         return [d for d in self._carrier(1) if self._holds(a, b, c, d)]
 
+    def _fourths(self, left: int, right: int, a: str, b: str, c: str) -> list[str]:
+        """The arrow family of ``a -> b`` in side ``left`` and c in side ``right``:
+        every d, in carrier order, for which ``a -> b :. c -> d`` holds.
+
+        ``_arrow_status``'s rule for all d at once.  J(a -> b) less the trivial
+        pairs meets each J(c -> d) once.  An arrow holds when both cells are
+        all-trivial, or when its shared set is non-empty and no other d's shared
+        set strictly contains it."""
+        _, sides, trivial = self._index
+        carrier, row = self._carrier(right), sides[right]
+        lhs = sides[left].get((a, b), _EMPTY)
+        cells = [row.get((c, d), _EMPTY) for d in carrier]
+        if lhs <= trivial:  # every shared set is empty
+            return [d for d, cell in zip(carrier, cells) if cell <= trivial]
+        lhs = lhs - trivial
+        shared = [lhs & cell for cell in cells]
+        return [d for d, s in zip(carrier, shared) if s and not any(s < t for t in shared)]
+
     def enumerate_all(self) -> list[tuple[str, str, str, str]]:
-        """Every holding quadruple over the carrier pair."""
+        """Every holding quadruple over the carrier pair, read from arrow families.
+
+        With F01(a, b, c) and F10(c, d, a) the families ``_fourths`` lists for
+        the sides (0, 1) and (1, 0), a : b :: c : d holds iff d is in F01(a, b, c),
+        c in F01(b, a, d), b in F10(c, d, a) and a in F10(d, c, b).  Over one
+        algebra F10 is F01, so one table serves.  The tables live for the call.
+        """
         first, second = self._carrier(0), self._carrier(1)
-        return [
-            (a, b, c, d)
-            for a in first
-            for b in first
-            for c in second
-            for d in second
-            if self._holds(a, b, c, d)
-        ]
+        f01 = {(a, b, c): self._fourths(0, 1, a, b, c)
+               for a in first for b in first for c in second}
+        f10 = f01 if self.sides == (0, 0) else {
+            (c, d, a): self._fourths(1, 0, c, d, a)
+            for c in second for d in second for a in first}
+        return [(a, b, c, d) for (a, b, c), fourths in f01.items() for d in fourths
+                if c in f01[b, a, d] and b in f10[c, d, a] and a in f10[d, c, b]]
 
     @property
     def state_count(self) -> int:

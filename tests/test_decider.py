@@ -240,31 +240,74 @@ def _quads(dec):
                                   second.carrier, second.carrier))
 
 
-def _random_decider(seed):
+def _random_draw(seed):
+    """A random algebra pair on at most 3 elements, with k in 0..2 and l in {0, 1, 2, inf}."""
     rng = random.Random(seed)
     first, second = random_algebra_pair(rng, max_size=3)
+    return first, second, rng.choice([0, 1, 2]), rng.choice([0, 1, 2, None])
+
+
+def _random_decider(seed):
+    first, second, k, ell = _random_draw(seed)
     try:
-        return FragmentDecider(first, second, k=rng.choice([1, 2]),
-                               ell=rng.choice([1, None]), cap=40)
+        return FragmentDecider(first, second, k=k, ell=ell, cap=40)
     except StateCapExceeded:
         return None
 
 
 class TestBatchAgreesWithDecide:
-    """solve and enumerate_all skip the witnesses; their answers must not change."""
+    """solve and enumerate_all skip the witnesses, and enumerate_all reads arrow
+    families; their answers must be those of the per-quadruple sweep."""
 
-    @given(st.integers(0, 10 ** 6))
-    @settings(max_examples=25, deadline=None)
-    def test_solve_and_enumerate_filter_decide(self, seed):
-        dec = _random_decider(seed)
-        if dec is None:
-            return
+    @staticmethod
+    def _check(dec):
         holding = [q for q in _quads(dec) if dec.decide_proportion(*q).holds]
         assert dec.enumerate_all() == holding
         first, second = dec.automaton.algebras[0], dec.automaton.algebras[-1]
         for a, b, c in itertools.product(first.carrier, first.carrier, second.carrier):
             assert dec.solve(a, b, c) == [d for d in second.carrier
                                           if (a, b, c, d) in holding]
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_solve_and_enumerate_filter_decide(self, seed):
+        dec = _random_decider(seed)
+        if dec is not None:
+            self._check(dec)
+
+    @given(st.integers(0, 10 ** 6))
+    @settings(max_examples=25, deadline=None)
+    def test_oracle_solve_and_enumerate_filter_decide(self, seed):
+        first, second, k, ell = _random_draw(seed)
+        try:
+            uni = OracleUniverse(first, second, k=k, ell=ell, depth=3, limit=300)
+        except OracleBudgetExceeded:
+            return
+        self._check(uni)
+
+    def test_with_trivial_pairs(self):
+        """Draws whose trivial set is often non-empty: one-element algebras, and
+        k = 2 over two elements with a binary symbol."""
+        rng = random.Random(1616)
+        with_trivial = 0
+        for case in range(40):
+            if case % 2:
+                first, second = random_algebra_pair(rng, max_size=1)
+                k = rng.choice([0, 1, 2])
+            else:
+                first, second = shaped_algebra_pair(rng, {"h": 2}, 2)
+                k = 2
+            ell = rng.choice([1, 2, None])
+            engines = [functools.partial(FragmentDecider, cap=200),
+                       functools.partial(OracleUniverse, depth=3, limit=300)]
+            for engine in engines:
+                try:
+                    dec = engine(first, second, k=k, ell=ell)
+                except (StateCapExceeded, OracleBudgetExceeded):
+                    continue
+                self._check(dec)
+                with_trivial += bool(dec._index[2])
+        assert with_trivial > 30
 
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=25, deadline=None)
