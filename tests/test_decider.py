@@ -289,6 +289,8 @@ class TestBatchAgreesWithDecide:
         """Draws whose trivial set is often non-empty: one-element algebras, and
         k = 2 over two elements with a binary symbol."""
         rng = random.Random(1616)
+        engines = [functools.partial(FragmentDecider, cap=200),
+                   functools.partial(OracleUniverse, depth=3, limit=300)]
         with_trivial = 0
         for case in range(40):
             if case % 2:
@@ -298,8 +300,6 @@ class TestBatchAgreesWithDecide:
                 first, second = shaped_algebra_pair(rng, {"h": 2}, 2)
                 k = 2
             ell = rng.choice([1, 2, None])
-            engines = [functools.partial(FragmentDecider, cap=200),
-                       functools.partial(OracleUniverse, depth=3, limit=300)]
             for engine in engines:
                 try:
                     dec = engine(first, second, k=k, ell=ell)
