@@ -9,9 +9,11 @@ uninstalling puts the original functions back.
 import os
 import sys
 
+import anaprop.antiunify as au
 import anaprop.cli as cli
 import anaprop.decider as dc
 import anaprop.oracle as orc
+import anaprop.trees as tr
 from anaprop.algebras import FiniteAlgebra
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -37,7 +39,10 @@ def test_every_wrapped_name_records_its_span():
             (dc.FragmentDecider, ("__init__", "justification_classes", "decide_arrow",
                                   "decide_proportion", "solve")),
             (orc.OracleUniverse, ("__init__", "decide")),
-            (cli, ("natural_solve", "load_algebra", "run")),
+            (cli, ("natural_solve", "solve_mono_add", "solve_mono_mul", "solve_mono_word", "lgg",
+                   "solve_tree_equation", "load_algebra", "run")),
+            (tr, ("lgg",)),
+            (au, ("common_gens", "mgg")),
         ]
         for attr in attrs
     }
@@ -56,6 +61,13 @@ def test_every_wrapped_name_records_its_span():
         finite = os.path.join(ALGEBRAS, "a2.json")
         assert cli.run(["decide", "a", "b", "c", "c", "--algebra", finite]) == 0
         assert cli.run(["solve", "2", "4", "3", "--algebra", "nmul"]) == 0
+        for argv in (["solve", "2", "3", "0", "--algebra", "zplus"],
+                     ["solve", "1/2", "3", "4", "--algebra", "qmul"],
+                     ["solve", "ab", "b", "a", "--algebra", "word:ab"],
+                     ["lgg", "f(a,a)", "f(b,b)"],
+                     ["solve-tree", "f(a)", "f(b)", "f(c)"],
+                     ["antiunify", "4", "9", "--algebra", "nmul"]):
+            assert cli.run(argv) == 0, argv
     finally:
         tracer.uninstall()
     for (owner, attr), original in originals.items():
@@ -63,8 +75,11 @@ def test_every_wrapped_name_records_its_span():
     names = {span[0] for span in tracer.spans}
     for name in ("decider.automaton", "decider.index", "decider.arrow", "decider.proportion",
                  "decider.solve", "oracle.universe", "oracle.decide", "decider.natural_solve",
-                 "algebras.load", "cli.run"):
+                 "closedform.solve", "trees.lgg", "trees.solve_tree", "antiunify.common_gens",
+                 "antiunify.mgg", "algebras.load", "cli.run"):
         assert name in names, name
+    # one span for each of the zplus, qmul and word solves
+    assert sum(span[0] == "closedform.solve" for span in tracer.spans) == 3
     errors = [span for span in tracer.spans if span[5] is not None]
     assert not errors
     # the index is counted on each decider's first justification_classes call only
