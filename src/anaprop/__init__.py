@@ -46,7 +46,6 @@ from .decider import (
     FragmentDecider,
     StateCapExceeded,
     Verdict,
-    behavior_automaton,
     functional_solve,
     natural_solve,
     verify_characteristic,

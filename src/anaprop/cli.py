@@ -15,10 +15,10 @@ and separates them from the operands; the operand counts, the value checks,
 the messages and the ``--help`` texts are this module's own, so they read the
 same under every Python version.
 
-decide, solve and enumerate take their engine from the algebra: behavior
-automata over finite algebras (``--engine auto``, or ``oracle`` for the
+decide, solve and enumerate resolve their engine once per query, from the
+algebra: behavior automata over finite algebras (``--engine oracle``: the
 brute-force oracle), the full-framework rule search for solve over nmul
-without ``--l 1``, and otherwise the closed forms of the monolinear fragment,
+without ``--l 1``, and otherwise the algebra's ``MONOLINEAR`` closed form,
 where a left-out ``--l`` means 1 and ``--l inf`` is an input error.
 """
 from __future__ import annotations
@@ -89,8 +89,6 @@ INPUT_ERRORS = (
     OracleBudgetExceeded,
     OSError,
 )
-
-CLOSED_FORM = "closed form"
 
 # Terms the oracle engine may enumerate before it gives up with
 # OracleBudgetExceeded.  On a 2-core x86-64 machine, reaching the limit took
@@ -326,42 +324,111 @@ def _load_pair(spec1: str, spec2: Optional[str], allow_empty: bool):
     return first, second
 
 
+def _decider(first: Algebra, second: Optional[Algebra], k: int, ell: Optional[str],
+             engine: str, cap: int):
+    """The engine over a finite algebra pair: a FragmentDecider, or an OracleUniverse."""
+    if not first.is_finite:  # only enumerate gets here with an infinite algebra
+        raise ValueError("enumeration requires a finite algebra")
+    bound = _parse_ell(ell)
+    decider = FragmentDecider(first, second, k=k, ell=bound, cap=cap)
+    if engine != "oracle":
+        return decider
+    # at this depth every behavior class has a term: the oracle is exact
+    try:
+        return OracleUniverse(first, second, k=k, ell=bound, depth=decider.state_count,
+                              limit=ORACLE_TERM_LIMIT)
+    except OracleBudgetExceeded as exc:
+        raise OracleBudgetExceeded(f"{exc}; use --engine auto") from None
+
+
+def _verdict(verdict) -> tuple[bool, dict, str]:
+    """A finite engine's verdict: whether it holds, the record's other fields, the text detail."""
+    detail = verdict.reason
+    if verdict.holds and verdict.witness is not None:
+        detail += f"; witness: {verdict.witness}"
+    elif not verdict.holds and verdict.counter is not None:
+        detail += f": fourth element {verdict.counter} has a strictly larger justification set"
+    if verdict.arrow is not None:
+        detail += f" (arrow {verdict.arrow})"
+    witness = str(verdict.witness) if verdict.witness else None
+    return verdict.holds, {"reason": verdict.reason, "witness": witness,
+                           "counter": verdict.counter, "arrow": verdict.arrow}, detail
+
+
+# The closed forms call their solvers by global name at call time, which is
+# where perfbench's tracer wraps them.
+def _difference():
+    """zplus: a - b = c - d, solved with the rule x1 -> +(x1, b - a)."""
+    def decide(a, b, c, d):
+        holds = decide_mono_add(a, b, c, d)
+        rel = f"{a}-{b} {'=' if holds else '!='} {c}-{d}"
+        return holds, {"relation": "difference", "detail": rel}, f"difference proportion: {rel}"
+
+    def solve(a, b, c):
+        d = solve_mono_add(a, b, c)
+        return [d], {str(d): [str(mono_add_rule(a, b))]}
+    return decide, solve
+
+
+def _geometric(domain: str):
+    """qmul (``domain`` "q") and nmul ("n2"): a : b = c : d."""
+    def decide(a, b, c, d):
+        holds = decide_mono_mul(a, b, c, d, domain=domain)
+        rel = f"{a}:{b} vs {c}:{d}"
+        return holds, {"relation": "geometric", "detail": rel}, f"geometric proportion: {rel}"
+    return decide, lambda a, b, c: (
+        sorted(str(d) for d in solve_mono_mul(a, b, c, domain=domain)), None)
+
+
+def _factorization():
+    """word: a and b, c and d factor alike, as a1 a2 a3 ~ b1 b2 b3."""
+    def decide(a, b, c, d):
+        split = decide_mono_word(a, b, c, d)
+        if split is None:
+            return False, {"relation": "word", "witness": None}, "no aligned factorization"
+        parts = [split.a1, split.a2, split.a3, split.b1, split.b2, split.b3]
+        shown = "|".join(parts[:3]) + " ~ " + "|".join(parts[3:])
+        return True, {"relation": "word", "witness": parts}, f"factorization {shown}"
+    return decide, lambda a, b, c: ([d if d else "%e" for d in solve_mono_word(a, b, c)], None)
+
+
+def _rule_search(a, b, c) -> tuple[list, dict]:
+    """solve over nmul in the full framework, with the verified rules of each solution."""
+    found = natural_solve(a, b, c)
+    return sorted(found), {str(d): sorted(str(r) for r in found[d]) for d in found}
+
+
+MONOLINEAR = {IntAddition: _difference(), RationalMultiplication: _geometric("q"),
+              NaturalMultiplication: _geometric("n2"), WordConcatenation: _factorization()}
+
+
 def _resolve(command: str, first: Algebra, second: Optional[Algebra], k: int,
              ell: Optional[str], engine: str, cap: int):
-    """The engine that answers ``command`` over the algebra pair.
+    """The engine that answers ``command`` over the algebra pair, as a (decide, solve) pair.
 
-    A FragmentDecider or an OracleUniverse over finite algebras,
-    ``natural_solve`` for the full framework of ``solve`` over nmul, and
-    CLOSED_FORM for the monolinear fragment over the other built-in
-    algebras, where a left-out ``--l`` means 1 and ``--l inf`` is refused.
+    decide(a, b, c, d) gives whether a : b :: c : d holds, the record's other
+    fields and the text detail; solve(a, b, c) gives the solutions d and their
+    witnesses, or None where the engine has none.
     """
-    bound = _parse_ell(ell)
     if first.is_finite:
-        decider = FragmentDecider(first, second, k=k, ell=bound, cap=cap)
-        if engine == "oracle":
-            # at this depth every behavior class has a term: the oracle is exact
-            try:
-                return OracleUniverse(first, second, k=k, ell=bound, depth=decider.state_count,
-                                      limit=ORACLE_TERM_LIMIT)
-            except OracleBudgetExceeded as exc:
-                raise OracleBudgetExceeded(f"{exc}; use --engine auto") from None
-        return decider
+        eng = _decider(first, second, k, ell, engine, cap)
+        return (lambda a, b, c, d: _verdict(eng.decide_proportion(a, b, c, d)),
+                lambda a, b, c: (list(eng.solve(a, b, c)), None))
+    bound = _parse_ell(ell)
     if engine == "oracle":
         raise ValueError(f"engine {engine!r} requires a finite algebra")
     if command == "solve" and isinstance(first, NaturalMultiplication) and bound is None:
         if k != 1:
             raise ValueError("solving over nmul in the full framework takes no --k; leave it out")
-        return natural_solve
+        return None, _rule_search  # no decide runs the full framework
     verb, tree_command = {"decide": ("deciding", "check-tree"),
                           "solve": ("solving", "solve-tree")}[command]
     if k != 1 or (ell is not None and bound != 1):
-        raise ValueError(
-            f"{verb} over this algebra is implemented for the monolinear "
-            f"fragment only; pass --k 1 --l 1"
-        )
+        raise ValueError(f"{verb} over this algebra is implemented for the monolinear "
+                         "fragment only; pass --k 1 --l 1")
     if isinstance(first, TermAlgebra):
         raise ValueError(f"{verb} over the term algebra: use {tree_command} instead")
-    return CLOSED_FORM
+    return MONOLINEAR[type(first)]
 
 
 def _parse_elements(first: Algebra, second: Optional[Algebra], texts, tokens: bool) -> list:
@@ -372,67 +439,14 @@ def _parse_elements(first: Algebra, second: Optional[Algebra], texts, tokens: bo
     return [(first if i < 2 else target).parse_element(text) for i, text in enumerate(texts)]
 
 
-def _mul_domain(algebra: Algebra) -> str:
-    return "n2" if isinstance(algebra, NaturalMultiplication) else "q"
-
-
-def _decision(eng, algebra: Algebra, a, b, c, d) -> tuple[bool, dict, str]:
-    """Whether a : b :: c : d holds, the record's other fields and the text detail."""
-    if eng != CLOSED_FORM:
-        verdict = eng.decide_proportion(a, b, c, d)
-        detail = verdict.reason
-        if verdict.holds and verdict.witness is not None:
-            detail += f"; witness: {verdict.witness}"
-        elif not verdict.holds and verdict.counter is not None:
-            detail += f": fourth element {verdict.counter} has a strictly larger justification set"
-        if verdict.arrow is not None:
-            detail += f" (arrow {verdict.arrow})"
-        return verdict.holds, {
-            "reason": verdict.reason,
-            "witness": str(verdict.witness) if verdict.witness else None,
-            "counter": verdict.counter,
-            "arrow": verdict.arrow,
-        }, detail
-    if isinstance(algebra, IntAddition):
-        holds = decide_mono_add(a, b, c, d)
-        rel = f"{a}-{b} {'=' if holds else '!='} {c}-{d}"
-        return holds, {"relation": "difference", "detail": rel}, f"difference proportion: {rel}"
-    if isinstance(algebra, WordConcatenation):
-        split = decide_mono_word(a, b, c, d)
-        if split is None:
-            return False, {"relation": "word", "witness": None}, "no aligned factorization"
-        parts = [split.a1, split.a2, split.a3, split.b1, split.b2, split.b3]
-        shown = "|".join(parts[:3]) + " ~ " + "|".join(parts[3:])
-        return True, {"relation": "word", "witness": parts}, f"factorization {shown}"
-    holds = decide_mono_mul(a, b, c, d, domain=_mul_domain(algebra))
-    rel = f"{a}:{b} vs {c}:{d}"
-    return holds, {"relation": "geometric", "detail": rel}, f"geometric proportion: {rel}"
-
-
-def _solutions(eng, algebra: Algebra, a, b, c) -> tuple[list, Optional[dict]]:
-    """The solutions d of a : b :: c : d and, when the engine gives them, their witnesses."""
-    if eng is natural_solve:
-        found = eng(a, b, c)
-        return sorted(found), {str(d): sorted(str(r) for r in found[d]) for d in found}
-    if eng != CLOSED_FORM:
-        return list(eng.solve(a, b, c)), None
-    if isinstance(algebra, IntAddition):
-        d = solve_mono_add(a, b, c)
-        return [d], {str(d): [str(mono_add_rule(a, b))]}
-    if isinstance(algebra, WordConcatenation):
-        return [d if d else "%e" for d in solve_mono_word(a, b, c)], None
-    return sorted(str(d) for d in solve_mono_mul(a, b, c, domain=_mul_domain(algebra))), None
-
-
 @command("decide", "A B C D", *QUERY_OPTIONS, TOKENS, ALLOW_EMPTY)
 def decide(out: Output, a: str, b: str, c: str, d: str, algebra_spec: str,
            algebra2_spec: Optional[str], k: int, ell: Optional[str], engine: str,
            cap: int, tokens: bool, allow_empty: bool) -> None:
     """Decide whether A : B :: C : D holds."""
     first, second = _load_pair(algebra_spec, algebra2_spec, allow_empty)
-    eng = _resolve("decide", first, second, k, ell, engine, cap)
-    elems = _parse_elements(first, second, (a, b, c, d), tokens)
-    holds, fields, detail = _decision(eng, first, *elems)
+    query, _ = _resolve("decide", first, second, k, ell, engine, cap)
+    holds, fields, detail = query(*_parse_elements(first, second, (a, b, c, d), tokens))
     out.emit({"command": "decide", "holds": holds, **fields},
              f"{'holds' if holds else 'does not hold'} ({detail})")
 
@@ -443,9 +457,8 @@ def solve(out: Output, a: str, b: str, c: str, algebra_spec: str,
           cap: int, tokens: bool, allow_empty: bool) -> None:
     """Solve A : B :: C : x, printing every solution."""
     first, second = _load_pair(algebra_spec, algebra2_spec, allow_empty)
-    eng = _resolve("solve", first, second, k, ell, engine, cap)
-    elems = _parse_elements(first, second, (a, b, c), tokens)
-    solutions, witnesses = _solutions(eng, first, *elems)
+    _, query = _resolve("solve", first, second, k, ell, engine, cap)
+    solutions, witnesses = query(*_parse_elements(first, second, (a, b, c), tokens))
     record = {"command": "solve", "solutions": solutions}
     lines = ["{" + ", ".join(str(d) for d in solutions) + "}"]
     if witnesses is not None:
@@ -459,9 +472,7 @@ def enumerate_command(out: Output, algebra_spec: str, algebra2_spec: Optional[st
                       k: int, ell: Optional[str], engine: str, cap: int) -> None:
     """List every holding quadruple of a finite algebra pair."""
     first, second = _load_pair(algebra_spec, algebra2_spec, False)
-    if not isinstance(first, FiniteAlgebra):
-        raise ValueError("enumeration requires a finite algebra")
-    quads = _resolve("enumerate", first, second, k, ell, engine, cap).enumerate_all()
+    quads = _decider(first, second, k, ell, engine, cap).enumerate_all()
     out.emit(
         {"command": "enumerate", "quadruples": [list(q) for q in quads]},
         "\n".join(f"{a} : {b} :: {c} : {d}" for a, b, c, d in quads) or "(none)",

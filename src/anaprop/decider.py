@@ -263,20 +263,9 @@ class BehaviorAutomaton:
                               1 + sum(map(sizes.__getitem__, combo)))
             level_start = len(occs)
 
-    @cached_property
-    def index(self) -> dict[BehaviorState, int]:
-        """Each state's position in ``states``."""
-        return {state: i for i, state in enumerate(self.states)}
-
     @property
     def state_count(self) -> int:
         return len(self.states)
-
-
-def behavior_automaton(algebra: FiniteAlgebra, k: int, ell: Optional[int] = None,
-                       cap: int = 10 ** 6) -> BehaviorAutomaton:
-    """The behavior automaton of a single algebra."""
-    return BehaviorAutomaton((algebra,), k, ell, cap)
 
 
 class FragmentDecider:

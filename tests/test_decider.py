@@ -21,7 +21,6 @@ from anaprop.decider import (
     BehaviorState,
     FragmentDecider,
     StateCapExceeded,
-    behavior_automaton,
     functional_solve,
     verify_characteristic,
 )
@@ -70,17 +69,17 @@ def hom_pair():
 
 class TestAutomaton:
     def test_empty_signature_single_state(self):
-        auto = behavior_automaton(alg_a1(), k=1)
+        auto = BehaviorAutomaton((alg_a1(),), k=1)
         assert auto.state_count == 1
         assert str(auto.witnesses[0]) == "x1"
 
     def test_unary_chain_closes(self):
-        auto = behavior_automaton(alg_a2(), k=1)
+        auto = BehaviorAutomaton((alg_a2(),), k=1)
         # x and f(x) behave differently; f is idempotent on its image
         assert auto.state_count == 2
 
     def test_k0_without_constants_is_empty(self):
-        auto = behavior_automaton(alg_a1(), k=0)
+        auto = BehaviorAutomaton((alg_a1(),), k=0)
         assert auto.state_count == 0
 
     def test_occurrence_bound_prunes(self):
@@ -89,13 +88,13 @@ class TestAutomaton:
             carrier=("0", "1"),
             ops={"f": {(x, y): "0" for x in "01" for y in "01"}},
         )
-        unbounded = behavior_automaton(alg, k=1, ell=None)
-        bounded = behavior_automaton(alg, k=1, ell=1)
+        unbounded = BehaviorAutomaton((alg,), k=1, ell=None)
+        bounded = BehaviorAutomaton((alg,), k=1, ell=1)
         assert bounded.state_count <= unbounded.state_count
 
     def test_cap_is_enforced(self):
         with pytest.raises(StateCapExceeded):
-            behavior_automaton(alg_a2(), k=1, cap=1)
+            BehaviorAutomaton((alg_a2(),), k=1, cap=1)
 
     def test_signature_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -316,16 +315,17 @@ class TestBatchAgreesWithDecide:
         if dec is None:
             return
         auto = dec.automaton
+        index = {state: i for i, state in enumerate(auto.states)}
 
         def size(state):
-            return term_size(auto.witnesses[auto.index[state]])
+            return term_size(auto.witnesses[index[state]])
 
         for a, b, c, d in _quads(dec):
             for quad in ((a, b, c, d), (b, a, d, c)):
                 verdict = dec.decide_arrow(*quad)
                 if verdict.reason != "maximal":
                     continue
-                least, i, j = min((size(s) + size(t), auto.index[s], auto.index[t])
+                least, i, j = min((size(s) + size(t), index[s], index[t])
                                   for s, t in dec.justification_classes(*quad)
                                   if not dec.is_trivial_pair(s, t))
                 assert term_size(verdict.witness.lhs) + term_size(verdict.witness.rhs) == least
