@@ -16,8 +16,8 @@ the messages and the ``--help`` texts are this module's own, so they read the
 same under every Python version.
 
 decide, solve and enumerate resolve their engine once per query, from the
-algebra: behavior automata over finite algebras (``--engine oracle``: the
-brute-force oracle), the full-framework rule search for solve over nmul
+algebra: behavior automata over finite algebras (the brute-force oracle with
+``--engine oracle``), the full-framework rule search for solve over nmul
 without ``--l 1``, and otherwise the algebra's ``MONOLINEAR`` closed form,
 where a left-out ``--l`` means 1 and ``--l inf`` is an input error.
 """
@@ -381,7 +381,7 @@ def _geometric(domain: str):
 
 
 def _factorization():
-    """word: a and b, c and d factor alike, as a1 a2 a3 ~ b1 b2 b3."""
+    """word: a = a1 a2 a3, b = b1 a2 b3, c = a1 b2 a3 and d = b1 b2 b3."""
     def decide(a, b, c, d):
         split = decide_mono_word(a, b, c, d)
         if split is None:
