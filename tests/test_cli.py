@@ -318,6 +318,115 @@ class TestAntiunify:
             2, "", f"error: antiunify over nmul takes no {option[0]}; leave it out\n")
 
 
+D = ["decide", "4", "5", "0", "1"]
+Z = ["--algebra", "zplus"]
+HOLDS = "holds (difference proportion: 4-5 = 0-1)\n"
+
+
+def unknown_algebra(spec):
+    return (f"error: unknown algebra {spec!r}: expected a preset (zplus, qmul, nmul, "
+            f"word:<alphabet>, term:<sigfile>) or an algebra file\n")
+
+
+def requires(name):
+    return f"error: Option {name!r} requires an argument.\n"
+
+
+def no_such(name, hint=""):
+    return f"error: No such option {name!r}.{hint}\n"
+
+
+def invalid_k(value):
+    return f"error: Invalid value for '--k': {value!r} is not a valid integer range.\n"
+
+
+# The command-line grammar: (argv, exit status, stdout, stderr).  A value
+# option takes the next token unless that looks like an option: it starts
+# with '-' and is not '-', a token with a space or a negative number in
+# '^-\d+$|^-\d*\.\d+$'.  A stdout given as a list is the help text that
+# command line prints.
+GRAMMAR = [
+    # '=' forms
+    (D + ["--algebra=zplus", "--k=1", "--l=1"], 0, HOLDS, ""),
+    (["--format=json", "lgg", "a", "b"], 0, '{"command": "lgg", "term": "x1"}\n', ""),
+    (D + Z + ["--tokens=1"], 2, "", "error: Option '--tokens' does not take a value.\n"),
+    (D + Z + ["--tokens="], 2, "", "error: Option '--tokens' does not take a value.\n"),
+    (["lgg", "a", "b", "--help=x"], 2, "", "error: Option '--help' does not take a value.\n"),
+    (["--help="], 2, "", "error: Option '--help' does not take a value.\n"),
+    (D + Z + ["--k="], 2, "", invalid_k("")),
+    (D + ["--algebra=--help"], 2, "", unknown_algebra("--help")),
+    (["--format=", "lgg", "a", "b"], 2, "",
+     "error: Invalid value for '--format': '' is not one of 'text', 'json'.\n"),
+    # negative numbers
+    (D + Z + ["--k", "-1"], 2, "", "error: Invalid value for '--k': -1 is not in the range x>=1.\n"),
+    (D + Z + ["--k=-1"], 2, "", "error: Invalid value for '--k': -1 is not in the range x>=1.\n"),
+    (D + Z + ["--k", "-1e3"], 2, "", requires("--k")),
+    (D + Z + ["--k", "-inf"], 2, "", requires("--k")),
+    (D + Z + ["--k", "-1_0"], 2, "", requires("--k")),
+    (D + Z + ["--k", "-.5"], 2, "", invalid_k("-.5")),
+    (["solve", "2", "3", "0", *Z, "--l", "-1"], 2, "", "error: --l must be at least 1\n"),
+    (["decide", "-4", "5", "0", "1", *Z], 2, "", no_such("-4")),
+    (["decide", *Z, "--", "-4", "5", "0", "1"], 0,
+     "does not hold (difference proportion: -4-5 != 0-1)\n", ""),
+    (["decide", "4", "5", "0", *Z, "--", "-1"], 0,
+     "does not hold (difference proportion: 4-5 != 0--1)\n", ""),
+    (["-1", "lgg", "a", "b"], 2, "", "error: No such command '-1'.\n"),
+    (["lgg", "a", "b", "-1", "-x"], 2, "", no_such("-1")),
+    (D + Z + ["--tokens", "-1"], 2, "", no_such("-1")),
+    # '-' as a value and as an operand
+    (D + ["--algebra", "-"], 2, "", unknown_algebra("-")),
+    (D + Z + ["--k", "-"], 2, "", invalid_k("-")),
+    (["lgg", "-", "a"], 0, "x1\n", ""),
+    (["lgg", "a", "b", "-"], 2, "", "error: Got unexpected extra argument (-)\n"),
+    (["-", "lgg"], 2, "", "error: No such command '-'.\n"),
+    # tokens with spaces
+    (["lgg", "f(a, b)", "f(b, a)"], 0, "f(x1,x2)\n", ""),
+    (["lgg", "-a b", "c"], 2, "", no_such("-a b")),
+    (D + ["--algebra", "-a b"], 2, "", unknown_algebra("-a b")),
+    (["-a b", "lgg", "a", "b"], 2, "", "error: No such command '-a b'.\n"),
+    (D + Z + ["--k", " 1"], 0, HOLDS, ""),
+    # a repeated option: the last one wins
+    (D + ["--algebra", "nmul", "--algebra", "zplus"], 0, HOLDS, ""),
+    (D + Z + ["--k=1", "--k", "2"], 2, "", "error: deciding over this algebra is implemented "
+     "for the monolinear fragment only; pass --k 1 --l 1\n"),
+    (["--format", "json", "--format", "text", "lgg", "a", "b"], 0, "x1\n", ""),
+    (D + Z + ["--tokens", "--tokens"], 0, HOLDS, ""),
+    # '--' before the command, and in a subcommand
+    (["--", "lgg", "a", "b"], 0, "x1\n", ""),
+    (["--format", "json", "--", "lgg", "a", "b"], 0, '{"command": "lgg", "term": "x1"}\n', ""),
+    (["--", "--format", "json", "lgg", "a", "b"], 2, "",
+     "error: No such command '--format'.\n"),
+    (["--"], 2, "", "error: Missing command.\n"),
+    (["lgg", "a", "b", "--"], 0, "x1\n", ""),
+    (["lgg", "--", "--", "a"], 0, "x1\n", ""),
+    (["lgg", "a", "b", "--", "--format", "json"], 2, "",
+     "error: Got unexpected extra arguments (--format json)\n"),
+    (D + ["--", *Z], 2, "", "error: Missing option '--algebra'.\n"),
+    (D + ["--algebra", "--", "zplus"], 2, "", requires("--algebra")),
+    # --help among the operands
+    (["lgg", "a", "--help", "b"], 0, ["lgg", "--help"], ""),
+    (["decide", "4", "--help"], 0, ["decide", "--help"], ""),
+    (["--help", "lgg"], 0, ["--help"], ""),
+    (["lgg", "--", "a", "--help"], 0, "x1\n", ""),
+    (["lgg", "-x", "--help"], 2, "", no_such("-x")),
+    (D + ["--algebra", "--help"], 2, "", requires("--algebra")),
+    # --format after the subcommand, unknown options
+    (["lgg", "a", "b", "--format", "json"], 2, "", no_such("--format")),
+    (D + Z + ["-k", "1"], 2, "", no_such("-k", " Did you mean '--k'?")),
+    (["lgg", "a", "b", "--=x"], 2, "", no_such("--")),
+    (D + ["--alg=zplus"], 2, "",
+     no_such("--alg", " (Did you mean one of: '--algebra', '--algebra2', '--l'?)")),
+    (["--format", "json", "-x", "lgg", "a", "b"], 2, "", no_such("-x")),
+    # integer values
+    (D + Z + ["--k", "1.5"], 2, "", invalid_k("1.5")),
+    (D + Z + ["--k", "0x10"], 2, "", invalid_k("0x10")),
+    # a missing value is reported before an unknown option
+    (D + ["-x", "--algebra"], 2, "", requires("--algebra")),
+    (["-x", "--format"], 2, "", requires("--format")),
+    ([], 2, "", "error: Missing command.\n"),
+]
+
+
 class TestUsageErrors:
     # a malformed command line exits 2 with empty stdout and one error line
     # naming the culprit
@@ -355,6 +464,15 @@ class TestUsageErrors:
 
     def test_double_dash_ends_the_options(self, capsys):
         assert invoke(capsys, "lgg", "--", "-x", "f(-x)") == (0, "x1\n", "")
+
+    @pytest.mark.parametrize("argv, status, out, err", GRAMMAR,
+                             ids=["_".join(case[0]).replace(" ", "+") or "none"
+                                  for case in GRAMMAR])
+    def test_grammar(self, capsys, argv, status, out, err):
+        if isinstance(out, list):  # the help text that this command line prints
+            out = invoke(capsys, *out)[1]
+            assert out.startswith("Usage: anaprop ")
+        assert invoke(capsys, *argv) == (status, out, err)
 
 
 class TestCheckRule:
