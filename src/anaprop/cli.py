@@ -8,12 +8,14 @@ line.  Exit status is 0 for every successfully executed query regardless of
 the verdict, and 2 for input errors and malformed command lines, each
 reported as one ``error: <message>`` line on stderr.
 
-The command line is read with argparse: one parser per subcommand and one for
-the top level, each built once at import from the subcommand's ``Option``
-table, so ``run`` only parses and dispatches.  argparse recognizes the options
-and separates them from the operands; the operand counts, the value checks,
-the messages and the ``--help`` texts are this module's own, so they read the
-same under every Python version.
+The command line is read by one scanner, ``_read``, straight from the
+``Option`` tables: the top level's, and each subcommand's, which the
+``command`` decorator registers.  It follows argparse's grammar: ``--name
+value`` or ``--name=value``, the last of a repeated option wins, no
+abbreviations, a negative number is a value and an operand, and ``--`` ends
+the options.  The operand counts, the value checks, the messages and the
+``--help`` texts are this module's own, so they read the same under every
+Python version.
 
 decide, solve and enumerate resolve their engine once per query, from the
 algebra: behavior automata over finite algebras (the brute-force oracle with
@@ -23,9 +25,9 @@ where a left-out ``--l`` means 1 and ``--l inf`` is an input error.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -159,7 +161,7 @@ class Option(NamedTuple):
     def value(self, given):
         """The value passed on: the default when left out (``given`` is None)."""
         if self.flag:
-            return given
+            return bool(given)
         if given is None:
             if self.required:
                 raise UsageError(f"Missing option {self.name!r}.")
@@ -215,36 +217,68 @@ FULL = Option("--full", "full",
 QUERY_OPTIONS = (ALGEBRA, ALGEBRA2, K, ELL, ENGINE, CAP)
 
 
-def _parser(options: tuple[Option, ...]) -> argparse.ArgumentParser:
-    """A parser of ``options``; what it leaves are operands and unknown options."""
-    parser = argparse.ArgumentParser(prog="anaprop", add_help=False, allow_abbrev=False,
-                                     exit_on_error=False)
-    for option in options:
-        if option.flag:
-            parser.add_argument(option.name, dest=option.dest, action="store_true")
+# argparse's negative numbers, which are values and operands though they start with '-'
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_option(token: str, options: dict[str, Option]) -> bool:
+    """Whether ``token`` reads as an option, so it is neither a value nor the command.
+
+    That is one of ``options`` (``--name=value`` included), or any token that
+    starts with '-' other than '-', a token with a space and a negative number.
+    """
+    if token[:1] != "-" or token == "-":
+        return False
+    return (token.partition("=")[0] in options
+            or " " not in token and not NEGATIVE_NUMBER.match(token))
+
+
+def _read(options: dict[str, Option], args: list[str],
+          command: bool = False) -> tuple[dict, list[str]]:
+    """The raw option values in ``args`` by keyword, and the operands.
+
+    An option takes its value as ``--name value`` or ``--name=value``, and
+    the last one given wins.  A '--' ends the options and is dropped.  With
+    ``command``, the options also end at the first operand, the command,
+    and the operands are it and everything after it.  Otherwise, every other
+    token that starts with '-' before the '--' is an unknown option,
+    negative numbers included.  A missing value is reported before an unknown
+    option.
+    """
+    values: dict = {}
+    operands: list[str] = []
+    unknown = None
+    i, end = 0, len(args)
+    while i < end:
+        token = args[i]
+        i += 1
+        if token == "--":
+            operands += args[i:]
+            break
+        name, eq, value = token.partition("=")
+        option = options.get(name)
+        if option is None:
+            if command and not _is_option(token, options):
+                operands = args[i - 1:]
+                break
+            if command or token[:1] == "-" and len(token) > 1:
+                unknown = unknown or name
+            else:
+                operands.append(token)
+        elif option.flag:
+            if eq:
+                raise UsageError(f"Option {name!r} does not take a value.")
+            values[option.dest] = True
+        elif eq:
+            values[option.dest] = value
+        elif i < end and not _is_option(args[i], options):
+            values[option.dest] = args[i]
+            i += 1
         else:
-            parser.add_argument(option.name, dest=option.dest)
-    return parser
-
-
-def _read(parser: argparse.ArgumentParser, options: tuple[Option, ...],
-          args: list[str]) -> tuple[dict, list[str]]:
-    """The raw option values in ``args`` (None if left out) and the other tokens, '--' dropped."""
-    try:
-        values, rest = parser.parse_known_args(args)
-    except argparse.ArgumentError as exc:
-        # only raised here for a value missing after an option or given to a flag
-        name = exc.argument_name
-        flag = any(option.flag for option in options if option.name == name)
-        problem = "does not take a value" if flag else "requires an argument"
-        raise UsageError(f"Option {name!r} {problem}.") from None
-    end = rest.index("--") if "--" in rest else len(rest)
-    for token in rest[:end]:
-        # negative numbers included: they go after '--'
-        if token.startswith("-") and len(token) > 1:
-            raise _no_such("option", token.split("=", 1)[0],
-                           [option.name for option in options])
-    return vars(values), rest[:end] + rest[end + 1:]
+            raise UsageError(f"Option {name!r} requires an argument.")
+    if unknown:
+        raise _no_such("option", unknown, list(options))
+    return values, operands
 
 
 def _no_such(kind: str, name: str, known: list[str]) -> UsageError:
@@ -279,14 +313,13 @@ def _help(usage: str, summary: str, sections: dict[str, list[tuple[str, str]]]) 
 
 
 class Command(NamedTuple):
-    """A subcommand: its handler and summary, its operands' names, its options (--help
-    last) and its parser."""
+    """A subcommand: its handler and summary, its operands' names and its options by
+    name (--help last)."""
 
     handler: Callable
     summary: str
     operands: tuple[str, ...]
-    options: tuple[Option, ...]
-    parser: argparse.ArgumentParser
+    options: dict[str, Option]
 
 
 COMMANDS: dict[str, Command] = {}
@@ -299,18 +332,14 @@ def command(name: str, operands: str, *options: Option):
     value as a keyword.
     """
     def register(handler: Callable) -> Callable:
-        with_help = (*options, HELP)
         # the docstring, which ``python -OO`` strips
         COMMANDS[name] = Command(handler, handler.__doc__ or "", tuple(operands.split()),
-                                 with_help, _parser(with_help))
+                                 {option.name: option for option in (*options, HELP)})
         return handler
     return register
 
 
-MAIN_OPTIONS = (FORMAT, HELP)
-MAIN_PARSER = _parser(MAIN_OPTIONS)
-# the subcommand and everything after it, its options too, go to its own parser
-MAIN_PARSER.add_argument("command", nargs=argparse.REMAINDER)
+MAIN_OPTIONS = {option.name: option for option in (FORMAT, HELP)}
 SUMMARY = "Analogical proportions: decide, solve and enumerate a : b :: c : d."
 
 
@@ -567,32 +596,30 @@ def check_rule_command(out: Output, rule: str, a: str, b: str, c: str, d: str,
 
 
 def _dispatch(argv: list[str]) -> int:
-    top, _ = _read(MAIN_PARSER, MAIN_OPTIONS, argv)
-    if top["help"]:
+    # the subcommand and everything after it, its options too, are read by its own table
+    top, command = _read(MAIN_OPTIONS, argv, command=True)
+    if top.get("help"):
         print(_help("[OPTIONS] COMMAND [ARGS]...", SUMMARY, {
-            "Options": [option.row() for option in MAIN_OPTIONS],
+            "Options": [option.row() for option in MAIN_OPTIONS.values()],
             "Commands": [(name, COMMANDS[name].summary) for name in sorted(COMMANDS)],
         }))
         return 0
-    out = Output(FORMAT.value(top["fmt"]))
-    command = top["command"]
-    if command[:1] == ["--"]:  # the end of the top-level options
-        del command[0]
+    out = Output(FORMAT.value(top.get("fmt")))
     if not command:
         raise UsageError("Missing command.")
     name, *args = command
     if name not in COMMANDS:
         raise _no_such("command", name, list(COMMANDS))
-    handler, summary, operands, options, parser = COMMANDS[name]
-    values, given = _read(parser, options, args)
-    if values["help"]:
+    handler, summary, operands, options = COMMANDS[name]
+    values, given = _read(options, args)
+    if values.get("help"):
         print(_help(" ".join([name, "[OPTIONS]", *operands]), summary,
-                    {"Options": [option.row() for option in options]}))
+                    {"Options": [option.row() for option in options.values()]}))
         return 0
     if len(given) < len(operands):
         raise UsageError(f"Missing argument {operands[len(given)]!r}.")
-    kwargs = {option.dest: option.value(values[option.dest])
-              for option in options if option is not HELP}
+    kwargs = {option.dest: option.value(values.get(option.dest))
+              for option in options.values() if option is not HELP}
     extra = given[len(operands):]
     if extra:
         raise UsageError(f"Got unexpected extra argument{'s' if len(extra) > 1 else ''} "

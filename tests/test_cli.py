@@ -410,6 +410,7 @@ GRAMMAR = [
     (["lgg", "--", "a", "--help"], 0, "x1\n", ""),
     (["lgg", "-x", "--help"], 2, "", no_such("-x")),
     (D + ["--algebra", "--help"], 2, "", requires("--algebra")),
+    (D + ["--algebra", "--k=1 2"], 2, "", requires("--algebra")),
     # --format after the subcommand, unknown options
     (["lgg", "a", "b", "--format", "json"], 2, "", no_such("--format")),
     (D + Z + ["-k", "1"], 2, "", no_such("-k", " Did you mean '--k'?")),
@@ -845,5 +846,7 @@ class TestEntry:
             assert done.stdout.startswith("Usage:"), argv
 
     def test_imports_no_third_party_parser(self):
-        done = self.process("import sys, anaprop.cli; print('click' in sys.modules)")
-        assert (done.returncode, done.stdout) == (0, "False\n")
+        # nor argparse: the Option tables are read directly
+        done = self.process("import sys, anaprop.cli; "
+                            "print('click' in sys.modules, 'argparse' in sys.modules)")
+        assert (done.returncode, done.stdout) == (0, "False False\n")
