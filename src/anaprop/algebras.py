@@ -332,6 +332,29 @@ def load_finite_algebra(path: str) -> FiniteAlgebra:
         return algebra_from_json(fh.read())
 
 
+def load_signature(path: str) -> Signature:
+    """The signature in a term-algebra file: ``{"symbols": {symbol: rank, ...}}``."""
+    def malformed(problem: str) -> AlgebraFormatError:
+        return AlgebraFormatError(f"signature file {path!r}: {problem}")
+
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise malformed(f"not valid JSON: {exc}") from None
+    symbols = doc.get("symbols") if isinstance(doc, dict) else None
+    if not isinstance(symbols, dict):
+        raise malformed('expected an object whose "symbols" maps each symbol to its rank')
+    for symbol, rank in symbols.items():
+        if not isinstance(rank, int) or isinstance(rank, bool) or rank < 0:
+            raise malformed(f"the rank of symbol {symbol!r} must be a non-negative integer, "
+                            f"got {json.dumps(rank)}")
+    try:
+        return Signature(dict(symbols))
+    except ValueError as exc:  # a symbol named like a variable
+        raise malformed(str(exc)) from None
+
+
 def save_finite_algebra(algebra: FiniteAlgebra, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(algebra_to_json(algebra))

@@ -43,6 +43,7 @@ from .algebras import (
     UnsupportedQuery,
     WordConcatenation,
     load_finite_algebra,
+    load_signature,
     parse_word_pattern,
 )
 from .closedform import (
@@ -64,7 +65,6 @@ from .decider import (
 from .oracle import OracleBudgetExceeded, OracleUniverse
 from .terms import (
     RewriteRule,
-    Signature,
     TermSyntaxError,
     canonical_term,
     parse_rule,
@@ -118,9 +118,7 @@ def load_algebra(spec: str, allow_empty: bool = False) -> Algebra:
     if spec.startswith("word:"):
         return WordConcatenation(spec[len("word:"):], allow_empty=allow_empty)
     if spec.startswith("term:"):
-        with open(spec[len("term:"):], "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return TermAlgebra(Signature(dict(doc["symbols"])))
+        return TermAlgebra(load_signature(spec[len("term:"):]))
     path = spec[len("file:"):] if spec.startswith("file:") else spec
     if os.path.exists(path):
         return load_finite_algebra(path)

@@ -789,6 +789,20 @@ class TestLoadAlgebra:
         alg = load_algebra("term:" + str(sig))
         assert alg.signature.rank("f") == 1
 
+    @pytest.mark.parametrize("doc, problem", [
+        ('{"ranks": {"f": 1}}', 'expected an object whose "symbols" maps each symbol to its rank'),
+        ("[1, 2]", 'expected an object whose "symbols" maps each symbol to its rank'),
+        ('{"symbols": {"f": "x"}}', 'the rank of symbol \'f\' must be a non-negative integer, '
+                                   'got "x"'),
+        ('{"symbols": {"f": -1}}', "the rank of symbol 'f' must be a non-negative integer, "
+                                  "got -1"),
+    ], ids=["no-symbols", "list", "string-rank", "negative-rank"])
+    def test_malformed_term_signature_is_an_input_error(self, capsys, tmp_path, doc, problem):
+        sig = tmp_path / "sig.json"
+        sig.write_text(doc)
+        assert invoke(capsys, "decide", "a", "a", "a", "a", "--algebra", f"term:{sig}") == (
+            2, "", f"error: signature file {str(sig)!r}: {problem}\n")
+
 
 class TestRedirectedStreams:
     def test_streams_are_released(self, a2_path):
