@@ -11,8 +11,8 @@ A depth-bounded generic fallback covers arbitrary finite algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Optional
+from functools import cache, lru_cache
+from typing import Callable, Iterable, Optional
 
 from .algebras import FiniteAlgebra, divisors
 from .terms import App, Term, Var, canonical_term, right_nested
@@ -166,6 +166,12 @@ def instance_subset(m1: Monomial, m2: Monomial) -> bool:
     exponents of c1/c2) can be covered by the pattern of m2 with every m2
     variable receiving something; decided by a small mask-union search.
     """
+    return _instance_subset(m1, m2, _masks)
+
+
+def _instance_subset(m1: Monomial, m2: Monomial,
+                     masks_of: Callable[[int, tuple[int, ...]], Optional[set[int]]]) -> bool:
+    """instance_subset, with ``masks_of`` in place of _masks (a memo of it, say)."""
     if m1 == m2:
         return True
     if not m1.exps:
@@ -182,12 +188,12 @@ def instance_subset(m1: Monomial, m2: Monomial) -> bool:
     full = (1 << len(weights)) - 1
     mask_sources: list[set[int]] = []
     for e in m1.exps:
-        masks = _masks(e, weights)
+        masks = masks_of(e, weights)
         if masks is None:
             return False
         mask_sources.append(masks)
     for prime_exp in _factorize(r).values():
-        masks = _masks(prime_exp, weights)
+        masks = masks_of(prime_exp, weights)
         if masks is None:
             return False
         mask_sources.append(masks)
@@ -197,17 +203,20 @@ def instance_subset(m1: Monomial, m2: Monomial) -> bool:
     return any(u == full for u in reachable)
 
 
-def mgg(a: int, b: int) -> set[Monomial]:
-    """Minimally general generalizations: minima of the instance ordering."""
-    gens = common_gens(a, b)
-    return {
-        m
-        for m in gens
-        if not any(
-            instance_subset(other, m) and not instance_subset(m, other)
-            for other in gens
-        )
-    }
+def mgg(a: int, b: int, gens: Optional[set[Monomial]] = None) -> set[Monomial]:
+    """Minimally general generalizations: minima of the instance ordering.
+
+    ``gens`` is common_gens(a, b), for a caller that has computed it already.
+    """
+    if gens is None:
+        gens = common_gens(a, b)
+    masks_of = cache(_masks)  # the pairs repeat the same few patterns; kept for this call
+
+    def below(m1: Monomial, m2: Monomial) -> bool:
+        return _instance_subset(m1, m2, masks_of)
+
+    return {m for m in gens
+            if not any(below(other, m) and not below(m, other) for other in gens)}
 
 
 # ---------------------------------------------------------------------------

@@ -550,8 +550,9 @@ def antiunify_command(out: Output, a: str, b: str, algebra_spec: str, k: int,
             if value != option.default:
                 raise ValueError(f"antiunify over nmul takes no {option.name}; leave it out")
         va, vb = algebra.parse_element(a), algebra.parse_element(b)
-        shared = sorted(str(m) for m in antiunify.common_gens(va, vb))
-        minima = sorted(str(m) for m in antiunify.mgg(va, vb))
+        gens = antiunify.common_gens(va, vb)
+        shared = sorted(str(m) for m in gens)
+        minima = sorted(str(m) for m in antiunify.mgg(va, vb, gens))
         out.emit(
             {"command": "antiunify", "common": shared, "mgg": minima},
             f"common: {{{', '.join(shared)}}}\nmgg: {{{', '.join(minima)}}}",

@@ -187,7 +187,8 @@ class TestMgg:
     @given(nats, nats)
     @settings(max_examples=40, deadline=None)
     def test_subset_of_common_gens(self, a, b):
-        assert mgg(a, b) <= common_gens(a, b)
+        gens = common_gens(a, b)
+        assert mgg(a, b) == mgg(a, b, gens) <= gens
 
 
 class TestRendering:
