@@ -222,8 +222,8 @@ NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 def _is_option(token: str, options: dict[str, Option]) -> bool:
     """Whether ``token`` reads as an option, so it is neither a value nor the command.
 
-    That is one of ``options`` (``--name=value`` included), or any token that
-    starts with '-' other than '-', a token with a space and a negative number.
+    It is one of ``options``, also as ``--name=value``, or it starts with '-'
+    and is none of '-', a token with a space and a negative number.
     """
     if token[:1] != "-" or token == "-":
         return False
@@ -259,7 +259,7 @@ def _read(options: dict[str, Option], args: list[str],
             if command and not _is_option(token, options):
                 operands = args[i - 1:]
                 break
-            if command or token[:1] == "-" and len(token) > 1:
+            if token[:1] == "-" and len(token) > 1:
                 unknown = unknown or name
             else:
                 operands.append(token)
