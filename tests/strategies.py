@@ -36,7 +36,7 @@ def instances_of(pattern_strategy: st.SearchStrategy) -> st.SearchStrategy:
 
     def apply(args):
         prev, sigma = args
-        chain = prev if isinstance(prev, tuple) else (prev,)
+        chain = (prev,) if isinstance(prev, Term) else prev
         return chain + (substitute(chain[-1], sigma),)
 
     return st.tuples(pattern_strategy, substitutions()).map(apply)

@@ -24,6 +24,7 @@ from anaprop.algebras import (
     render_word_term,
     solution_set,
 )
+from anaprop.antiunify import monomial_over
 from anaprop.terms import App, Signature, Var, parse_term
 from tests.strategies import random_finite_algebra
 
@@ -168,6 +169,45 @@ class TestSolutionSet:
         alg = TermAlgebra(Signature({"f": 1, "a": 0}))
         sols = solution_set(parse_term("f(x1)"), parse_term("f(a)"), alg)
         assert sols == [{"x1": App("a")}]
+
+
+def _brute_force_assignments(coeff, exps, bound):
+    """{value: assignments} of coeff * prod(name^e) for every value <= bound, each
+    list in lexicographic order of the values of the sorted names."""
+    names = sorted(exps)
+    out = {}
+
+    def extend(i, total, acc):
+        if i == len(names):
+            out.setdefault(total, []).append(dict(zip(names, acc)))
+            return
+        o = 2
+        while total * o ** exps[names[i]] <= bound:
+            extend(i + 1, total * o ** exps[names[i]], acc + (o,))
+            o += 1
+
+    extend(0, coeff, ())
+    return out
+
+
+class TestNmulSolutionAssignments:
+    BOUND = 500
+    MONOMIALS = [
+        (1, {"x1": 1}), (3, {"x1": 1}), (1, {"x1": 2}), (2, {"x1": 3}), (1, {"x1": 5}),
+        (1, {"x1": 1, "x2": 1}), (1, {"x2": 1, "x1": 2}), (6, {"x1": 1, "x2": 1}),
+        (1, {"x1": 2, "x2": 3}), (5, {"x1": 2, "x2": 1}), (1, {"x10": 1, "x2": 2}),
+    ]
+
+    @pytest.mark.parametrize("coeff,exps", MONOMIALS)
+    def test_matches_brute_force(self, coeff, exps):
+        expected = _brute_force_assignments(coeff, exps, self.BOUND)
+        term = monomial_over(coeff, exps)
+        for value in range(1, self.BOUND + 1):
+            assert NMUL.solution_assignments(term, value) == expected.get(value, []), value
+
+    def test_constant(self):
+        assert NMUL.solution_assignments(App("12"), 12) == [{}]
+        assert NMUL.solution_assignments(App("12"), 6) == []
 
 
 class TestUnitySet:

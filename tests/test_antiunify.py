@@ -190,6 +190,16 @@ class TestMgg:
         gens = common_gens(a, b)
         assert mgg(a, b) == mgg(a, b, gens) <= gens
 
+    def test_matches_pairwise_minima(self):
+        rng = random.Random(19)
+        pairs = [(20, 30), (378, 168), (1080, 1512)] + [
+            (rng.randint(2, 2000), rng.randint(2, 2000)) for _ in range(25)]
+        for a, b in pairs:
+            gens = common_gens(a, b)
+            minima = {g for g in gens if not any(
+                instance_subset(o, g) and not instance_subset(g, o) for o in gens)}
+            assert mgg(a, b) == minima, (a, b)
+
 
 class TestRendering:
     def test_strings(self):

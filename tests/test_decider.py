@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from anaprop import antiunify
 from anaprop.algebras import (
     FiniteAlgebra,
     IntAddition,
@@ -15,6 +16,7 @@ from anaprop.algebras import (
     eval_term,
     load_finite_algebra,
     parse_word_pattern,
+    solution_set,
 )
 from anaprop.decider import (
     BehaviorAutomaton,
@@ -22,6 +24,7 @@ from anaprop.decider import (
     FragmentDecider,
     StateCapExceeded,
     functional_solve,
+    natural_solve,
     verify_characteristic,
 )
 from anaprop.oracle import (OracleBudgetExceeded, OracleUniverse, count_terms, enumerate_terms,
@@ -1113,6 +1116,80 @@ class TestVerifyCharacteristic:
         assert verify_characteristic(rule, "a", "b", "a", "b", alg)
         dec = FragmentDecider(alg, k=1)
         assert dec.decide_arrow("a", "b", "a", "b").holds
+
+
+def _reference_natural_solve(a, b, c):
+    """natural_solve as first written: every candidate rule built and verified."""
+    nmul = NaturalMultiplication()
+    out = {}
+    for mono in sorted(antiunify.common_gens(a, c)):
+        if not 1 <= mono.nvars <= 2:
+            continue
+        names = [f"x{i + 1}" for i in range(mono.nvars)]
+        lhs = antiunify.monomial_term(mono)
+        sols_c = solution_set(lhs, c, nmul)
+        if len(sols_c) != 1:
+            continue
+        for o_a in solution_set(lhs, a, nmul):
+            for rhs in _reference_rhs_candidates(b, o_a, names):
+                rule = RewriteRule(lhs, rhs)
+                d = eval_term(rhs, sols_c[0], nmul)
+                if d >= 2 and verify_characteristic(rule, a, b, c, d, nmul, full=True):
+                    out.setdefault(d, set()).add(rule)
+    return out
+
+
+def _reference_rhs_candidates(b, assignment, names):
+    def build(i, rest, exps):
+        if i == len(names):
+            if rest >= 1:
+                yield antiunify.monomial_over(rest, exps)
+            return
+        name = names[i]
+        value = assignment[name]
+        e = 1
+        power = value
+        while power <= rest:
+            if rest % power == 0:
+                exps[name] = e
+                yield from build(i + 1, rest // power, exps)
+                del exps[name]
+            e += 1
+            power *= value
+    yield from build(0, b, {})
+
+
+# the p^3 q r inputs of the benchmark's cli workload: a and c, and b = a / p * s
+_P3QR = ((2, 3, 5), (2, 3, 7), (2, 5, 7), (3, 2, 5), (3, 2, 7))
+
+
+class TestNaturalSolveReference:
+    def test_worked_example(self):
+        got = natural_solve(20, 4, 30)
+        assert sorted(got) == [6, 9]
+        assert got == _reference_natural_solve(20, 4, 30)
+
+    def test_seeded_triples(self):
+        rng = random.Random(19)
+        for _ in range(60):
+            a, b, c = (rng.randint(2, 400) for _ in range(3))
+            assert natural_solve(a, b, c) == _reference_natural_solve(a, b, c), (a, b, c)
+
+    def test_p3qr_triples(self):
+        for p, q, r in _P3QR:
+            a = p ** 3 * q * r
+            for s in (2, 3, 5, 7):
+                b = a // p * s
+                for p2, q2, r2 in _P3QR:
+                    c = p2 ** 3 * q2 * r2
+                    assert natural_solve(a, b, c) == _reference_natural_solve(a, b, c), (a, b, c)
+
+    def test_every_rule_is_characteristic(self):
+        nmul = NaturalMultiplication()
+        for a, b, c in [(20, 4, 30), (378, 252, 378), (120, 84, 189)]:
+            for d, rules in natural_solve(a, b, c).items():
+                for rule in rules:
+                    assert verify_characteristic(rule, a, b, c, d, nmul, full=True), (rule, d)
 
 
 class TestFunctionalSolve:

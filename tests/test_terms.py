@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -190,6 +192,56 @@ class TestSyntax:
             parse_term("f(a)", sig)
         with pytest.raises(KeyError):
             parse_term("g(a)", sig)
+
+
+class TestTermContract:
+    nested = App("f", (App("g", (x1,)), a, Var("x10")))
+
+    def test_repr(self):
+        assert repr(x1) == "Var(name='x1')"
+        assert repr(a) == "App(symbol='a', args=())"
+        assert repr(self.nested) == (
+            "App(symbol='f', args=(App(symbol='g', args=(Var(name='x1'),)), "
+            "App(symbol='a', args=()), Var(name='x10')))"
+        )
+
+    def test_str(self):
+        assert str(x1) == "x1"
+        assert str(a) == "a"
+        assert str(self.nested) == "f(g(x1),a,x10)"
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        assert hash(x1) == hash(("x1",))
+        assert hash(a) == hash(("a", ()))
+        assert hash(self.nested) == hash(("f", self.nested.args))
+
+    @given(terms())
+    def test_hash_and_equality_follow_structure(self, t):
+        copy = parse_term(render(t))
+        assert copy == t and hash(copy) == hash(t)
+
+    def test_fields_are_read_only(self):
+        with pytest.raises(AttributeError):
+            x1.name = "x2"
+        with pytest.raises(AttributeError):
+            self.nested.symbol = "g"
+        with pytest.raises(AttributeError):
+            self.nested.args = ()
+
+    def test_keyword_construction_and_default_args(self):
+        assert App(symbol="f", args=(x1,)) == App("f", (x1,))
+        assert Var(name="x1") == x1
+        assert App("a") == App("a", ()) == a
+
+    def test_variable_and_constant_of_one_name_differ(self):
+        assert Var("x1") != App("x1")
+        assert Var("a") != a
+        assert len({Var("x1"), App("x1")}) == 2
+
+    @given(terms())
+    def test_pickle_round_trip(self, t):
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and type(back) is type(t)
 
 
 class TestSignature:
