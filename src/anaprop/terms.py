@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 VAR_RE = re.compile(r"x[0-9]+\Z")
 
@@ -26,15 +26,25 @@ class Term:
         return render(self)
 
 
-@dataclass(frozen=True)
-class Var(Term):
+# Terms are tuples of their fields, so equality and hashing run in C.  The hash
+# of a term is the hash of its field tuple, ``hash((symbol, args))`` for an App,
+# as it was for the frozen dataclasses they replace.
+
+class _VarFields(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class App(Term):
+class _AppFields(NamedTuple):
     symbol: str
     args: tuple[Term, ...] = ()
+
+
+class Var(_VarFields, Term):
+    __slots__ = ()
+
+
+class App(_AppFields, Term):
+    __slots__ = ()
 
 
 # A substitution is a plain mapping from variable names to terms.
