@@ -414,9 +414,14 @@ def _nth_root(n: int, e: int) -> Optional[int]:
     """Exact nonnegative e-th root of a nonnegative integer, or None."""
     if n < 0:
         return None
-    if n in (0, 1):
+    if n in (0, 1) or e == 1:
         return n
-    r = round(n ** (1.0 / e))
+    if n.bit_length() <= 52:  # the float root is within one of the exact one
+        r = round(n ** (1.0 / e))
+    else:  # integer Newton iteration from above, to the floor of the root
+        r = 1 << -(-n.bit_length() // e)
+        while (s := ((e - 1) * r + n // r ** (e - 1)) // e) < r:
+            r = s
     for cand in (r - 1, r, r + 1):
         if cand >= 0 and cand ** e == n:
             return cand
@@ -583,23 +588,26 @@ class NaturalMultiplication(Algebra):
         if value % coeff:
             return []
         names = sorted(exps)
+        last = len(names) - 1
         out: list[Assignment] = []
 
         def descend(i: int, rest: int, acc: Assignment) -> None:
-            if i == len(names):
-                if rest == 1:
-                    out.append(dict(acc))
-                return
             name = names[i]
             e = exps[name]
-            for o in range(2, rest + 1):
-                p = o ** e
-                if p > rest:
-                    break
+            if i == last:  # the last value is forced: the e-th root of what is left
+                o = _nth_root(rest, e)
+                if o is not None and o >= 2:
+                    out.append({**acc, name: o})
+                return
+            # every later variable takes at least 2
+            bound = rest >> sum(exps[n] for n in names[i + 1:])
+            o = 2
+            while (p := o ** e) <= bound:
                 if rest % p == 0:
                     acc[name] = o
                     descend(i + 1, rest // p, acc)
                     del acc[name]
+                o += 1
 
         descend(0, value // coeff, {})
         return out

@@ -539,28 +539,47 @@ def natural_solve(a: int, b: int, c: int) -> dict[int, set[RewriteRule]]:
 
     Bounded search over monomial rules: left-hand sides are shared monomial
     generalizations of a and c with one to NATURAL_SOLVE_MAX_VARS (2)
-    variables and a unique solution at c; right-hand sides reuse the same
-    variables with coefficients dividing b.  Every candidate is verified as a
-    full characteristic justification, so the result is sound; completeness
-    is empirical at this bound.
+    variables and a unique solution at a and at c; right-hand sides reuse the
+    same variables with coefficients dividing b.  Every candidate is verified
+    as a full characteristic justification, so the result is sound;
+    completeness is empirical at this bound.
     """
-    nmul = NaturalMultiplication()
+    nmul = _SolutionMemo()
     out: dict[int, set[RewriteRule]] = {}
     for mono in sorted(antiunify.common_gens(a, c)):
         if not 1 <= mono.nvars <= NATURAL_SOLVE_MAX_VARS:
             continue
-        names = [f"x{i + 1}" for i in range(mono.nvars)]
         lhs = antiunify.monomial_term(mono)
         sols_c = solution_set(lhs, c, nmul)
         if len(sols_c) != 1:
             continue
-        for o_a in solution_set(lhs, a, nmul):
-            for rhs in _monomial_rhs_candidates(b, o_a, names):
-                rule = RewriteRule(lhs, rhs)
-                d = eval_term(rhs, sols_c[0], nmul)
-                if d >= 2 and verify_characteristic(rule, a, b, c, d, nmul, full=True):
-                    out.setdefault(d, set()).add(rule)
+        sols_a = solution_set(lhs, a, nmul)
+        if len(sols_a) != 1:  # full verification asks for a unique solution at a too
+            continue
+        names = [f"x{i + 1}" for i in range(mono.nvars)]
+        for rhs in _monomial_rhs_candidates(b, sols_a[0], names):
+            rule = RewriteRule(lhs, rhs)
+            d = eval_term(rhs, sols_c[0], nmul)
+            if d >= 2 and verify_characteristic(rule, a, b, c, d, nmul, full=True):
+                out.setdefault(d, set()).add(rule)
     return out
+
+
+class _SolutionMemo(NaturalMultiplication):
+    """nmul with each (term, value)'s solution assignments computed once.
+
+    One per ``natural_solve`` call: the verification of every candidate rule asks
+    again for its left side's solutions at a and at c."""
+
+    def __init__(self) -> None:
+        self._solutions: dict[tuple[Term, int], list[dict[str, int]]] = {}
+
+    def solution_assignments(self, term: Term, value: int) -> list[dict[str, int]]:
+        key = (term, value)
+        got = self._solutions.get(key)
+        if got is None:
+            got = self._solutions[key] = super().solution_assignments(term, value)
+        return got
 
 
 def _monomial_rhs_candidates(b: int, assignment: dict[str, int],

@@ -209,6 +209,13 @@ class TestNmulSolutionAssignments:
         assert NMUL.solution_assignments(App("12"), 12) == [{}]
         assert NMUL.solution_assignments(App("12"), 6) == []
 
+    def test_large_values_get_exact_roots(self):
+        big = 10 ** 20 + 39
+        assert NMUL.solution_assignments(x1, big) == [{"x1": big}]
+        square = monomial_over(3, {"x1": 2})
+        assert NMUL.solution_assignments(square, 3 * big ** 2) == [{"x1": big}]
+        assert NMUL.solution_assignments(square, 3 * big ** 2 + 3) == []
+
 
 class TestUnitySet:
     def test_translations_always_unique(self):
