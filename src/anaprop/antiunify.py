@@ -207,16 +207,27 @@ def mgg(a: int, b: int, gens: Optional[set[Monomial]] = None) -> set[Monomial]:
     """Minimally general generalizations: minima of the instance ordering.
 
     ``gens`` is common_gens(a, b), for a caller that has computed it already.
+    One pass keeps the minima of the generalizations seen so far: a new one is
+    dropped when a kept one lies strictly below it, and otherwise it drops the
+    kept ones strictly above it.  As instance_subset is a preorder, an element
+    strictly below the new one would have a kept one strictly below it too.
     """
     if gens is None:
         gens = common_gens(a, b)
     masks_of = cache(_masks)  # the pairs repeat the same few patterns; kept for this call
-
-    def below(m1: Monomial, m2: Monomial) -> bool:
-        return _instance_subset(m1, m2, masks_of)
-
-    return {m for m in gens
-            if not any(below(other, m) and not below(m, other) for other in gens)}
+    minima: list[Monomial] = []
+    for g in gens:
+        kept = []
+        for m in minima:
+            m_below, g_below = _instance_subset(m, g, masks_of), _instance_subset(g, m, masks_of)
+            if m_below and not g_below:
+                break
+            if m_below or not g_below:
+                kept.append(m)
+        else:
+            kept.append(g)
+            minima = kept
+    return set(minima)
 
 
 # ---------------------------------------------------------------------------
