@@ -299,17 +299,31 @@ def algebra_from_json(text: str) -> FiniteAlgebra:
     constants = doc.get("constants", {})
     if not isinstance(constants, dict):
         raise AlgebraFormatError("field 'constants' must be a map symbol -> label")
+    op_docs = doc.get("ops", [])
+    if not isinstance(op_docs, list):
+        raise AlgebraFormatError("field 'ops' must be a list of operation objects")
     ops: dict[str, dict[tuple[str, ...], str]] = {}
-    for i, op in enumerate(doc.get("ops", [])):
+    for i, op in enumerate(op_docs):
         context = f"ops[{i}]"
+        if not isinstance(op, dict):
+            raise AlgebraFormatError(f"{context}: an operation must be an object "
+                                     f"with fields 'symbol', 'arity' and 'table'")
         for fld in ["symbol", "arity", "table"]:
             if fld not in op:
                 raise AlgebraFormatError(f"{context}: missing field {fld!r}")
         symbol, arity, table = op["symbol"], op["arity"], op["table"]
-        if not isinstance(arity, int) or arity < 1:
+        if not isinstance(symbol, str):
+            raise AlgebraFormatError(f"{context}: field 'symbol' must be a string")
+        if not isinstance(arity, int) or isinstance(arity, bool) or arity < 1:
             raise AlgebraFormatError(f"{context}: arity must be a positive integer")
+        if not isinstance(table, dict):
+            raise AlgebraFormatError(
+                f"{context}: field 'table' must map argument rows to labels")
         parsed: dict[tuple[str, ...], str] = {}
         for key, result in table.items():
+            if not isinstance(result, str):
+                raise AlgebraFormatError(
+                    f"{context}: table row {key!r} must map to a label, got {json.dumps(result)}")
             args = tuple(key.split(",")) if key else ()
             if len(args) != arity:
                 raise AlgebraFormatError(
@@ -329,7 +343,11 @@ def algebra_from_json(text: str) -> FiniteAlgebra:
 
 def load_finite_algebra(path: str) -> FiniteAlgebra:
     with open(path, "r", encoding="utf-8") as fh:
-        return algebra_from_json(fh.read())
+        text = fh.read()
+    try:
+        return algebra_from_json(text)
+    except AlgebraFormatError as exc:
+        raise AlgebraFormatError(f"algebra file {path!r}: {exc}") from None
 
 
 def load_signature(path: str) -> Signature:

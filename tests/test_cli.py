@@ -804,6 +804,26 @@ class TestLoadAlgebra:
             2, "", f"error: signature file {str(sig)!r}: {problem}\n")
 
 
+    @pytest.mark.parametrize("ops, problem", [
+        ('[{"symbol": "f", "arity": 1, "table": [1]}]',
+         "ops[0]: field 'table' must map argument rows to labels"),
+        ("[1]", "ops[0]: an operation must be an object with fields 'symbol', 'arity' and "
+                "'table'"),
+        ('{"f": 1}', "field 'ops' must be a list of operation objects"),
+        ('[{"symbol": "f", "arity": 1, "table": {"a": ["a"]}}]',
+         "ops[0]: table row 'a' must map to a label, got [\"a\"]"),
+        ('[{"symbol": ["f"], "arity": 1, "table": {"a": "a"}}]',
+         "ops[0]: field 'symbol' must be a string"),
+        ('[{"symbol": "f", "arity": true, "table": {"a": "a"}}]',
+         "ops[0]: arity must be a positive integer"),
+    ], ids=["table-list", "op-number", "ops-object", "row-list", "symbol-list", "arity-bool"])
+    def test_malformed_ops_are_an_input_error(self, capsys, tmp_path, ops, problem):
+        path = tmp_path / "alg.json"
+        path.write_text('{"name": "x", "carrier": ["a"], "ops": %s}' % ops)
+        assert invoke(capsys, "decide", "a", "a", "a", "a", "--algebra", str(path)) == (
+            2, "", f"error: algebra file {str(path)!r}: {problem}\n")
+
+
 class TestRedirectedStreams:
     def test_streams_are_released(self, a2_path):
         # a caller capturing output through redirected streams must get them
