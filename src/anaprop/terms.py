@@ -27,8 +27,9 @@ class Term:
 
 
 # Terms are tuples of their fields, so equality and hashing run in C.  The hash
-# of a term is the hash of its field tuple, ``hash((symbol, args))`` for an App,
-# as it was for the frozen dataclasses they replace.
+# of a term is the hash of its field tuple, ``hash((symbol, args))`` for an App:
+# the iteration order of sets of terms, and so the order of some outputs,
+# depends on it.
 
 class _VarFields(NamedTuple):
     name: str
