@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from anaprop.algebras import (
     parse_word_pattern,
     render_word_term,
     solution_set,
+    word_pattern_term,
 )
 from anaprop.antiunify import monomial_over
 from anaprop.terms import App, Signature, Var, parse_term
@@ -196,6 +198,7 @@ class TestNmulSolutionAssignments:
         (1, {"x1": 1}), (3, {"x1": 1}), (1, {"x1": 2}), (2, {"x1": 3}), (1, {"x1": 5}),
         (1, {"x1": 1, "x2": 1}), (1, {"x2": 1, "x1": 2}), (6, {"x1": 1, "x2": 1}),
         (1, {"x1": 2, "x2": 3}), (5, {"x1": 2, "x2": 1}), (1, {"x10": 1, "x2": 2}),
+        (2, {"x3": 1, "x1": 2, "x2": 1}),
     ]
 
     @pytest.mark.parametrize("coeff,exps", MONOMIALS)
@@ -215,6 +218,146 @@ class TestNmulSolutionAssignments:
         square = monomial_over(3, {"x1": 2})
         assert NMUL.solution_assignments(square, 3 * big ** 2) == [{"x1": big}]
         assert NMUL.solution_assignments(square, 3 * big ** 2 + 3) == []
+
+
+def _reference_matches(items, word, allow_empty, cap=None):
+    """The word matcher as first written: a depth-first split of ``word`` along
+    the pattern ``items``, stopped once ``cap`` matches are found."""
+    min_len = 0 if allow_empty else 1
+    out = []
+
+    def descend(i, pos, binding):
+        if cap is not None and len(out) >= cap:
+            return True
+        if i == len(items):
+            if pos == len(word):
+                out.append(dict(binding))
+            return cap is not None and len(out) >= cap
+        item = items[i]
+        if isinstance(item, App):
+            if word.startswith(item.symbol, pos):
+                return descend(i + 1, pos + len(item.symbol), binding)
+            return False
+        bound = binding.get(item.name)
+        if bound is not None:
+            if word.startswith(bound, pos):
+                return descend(i + 1, pos + len(bound), binding)
+            return False
+        for ln in range(min_len, len(word) - pos + 1):
+            binding[item.name] = word[pos : pos + ln]
+            if descend(i + 1, pos + ln, binding):
+                del binding[item.name]
+                return True
+            del binding[item.name]
+        return False
+
+    descend(0, 0, {})
+    return out
+
+
+def _brute_force_words(items, alphabet, max_len, allow_empty):
+    """{word: set of assignments} of the pattern ``items`` over every
+    assignment whose value has at most ``max_len`` letters."""
+    names = sorted({it.name for it in items if isinstance(it, Var)})
+    occ = {n: sum(1 for it in items if it == Var(n)) for n in names}
+    fixed = sum(1 for it in items if isinstance(it, App))
+    min_len = 0 if allow_empty else 1
+    words_of = {ln: ["".join(w) for w in itertools.product(alphabet, repeat=ln)]
+                for ln in range(max_len + 1)}
+    out = {}
+
+    def extend(i, used, binding):
+        if i == len(names):
+            word = "".join(binding[it.name] if isinstance(it, Var) else it.symbol
+                           for it in items)
+            out.setdefault(word, set()).add(frozenset(binding.items()))
+            return
+        rest = sum(occ[n] for n in names[i + 1:]) * min_len
+        ln = min_len
+        while used + occ[names[i]] * ln + rest <= max_len:
+            for w in words_of[ln]:
+                binding[names[i]] = w
+                extend(i + 1, used + occ[names[i]] * ln, binding)
+            del binding[names[i]]
+            ln += 1
+
+    if fixed + sum(occ.values()) * min_len <= max_len:
+        extend(0, fixed, {})
+    return out
+
+
+def _word_patterns(max_items=4):
+    """Every sequence of 1..max_items pattern items over x1, x2, x3, a and b."""
+    alphabet = [Var("x1"), Var("x2"), Var("x3"), App("a"), App("b")]
+    for n in range(1, max_items + 1):
+        yield from (list(items) for items in itertools.product(alphabet, repeat=n))
+
+
+def _words(alphabet, max_len, allow_empty):
+    return ["".join(w) for ln in range(0 if allow_empty else 1, max_len + 1)
+            for w in itertools.product(alphabet, repeat=ln)]
+
+
+class TestWordSolutionAssignments:
+    @pytest.mark.parametrize("allow_empty", [False, True])
+    def test_matches_reference_and_brute_force(self, allow_empty):
+        w = WordConcatenation("ab", allow_empty=allow_empty)
+        values = _words("ab", 4, allow_empty)
+        for items in _word_patterns():
+            term = word_pattern_term(items)
+            brute = _brute_force_words(items, "ab", 4, allow_empty)
+            for value in values:
+                got = w.solution_assignments(term, value)
+                assert got == _reference_matches(items, value, allow_empty), (items, value)
+                assert {frozenset(s.items()) for s in got} == brute.get(value, set()), (
+                    items, value)
+                assert len(got) == len(brute.get(value, ())), (items, value)
+
+
+def _capped_count_cases():
+    """(algebra, term, value) over every algebra kind whose solution sets are lists."""
+    rng = random.Random(20)
+    for i in range(12):
+        alg = random_finite_algebra(rng, max_size=3, name=f"c{i}")
+        term = _random_term(rng, alg)
+        for a in alg.carrier:
+            yield alg, term, a
+    for allow_empty in (False, True):
+        w = WordConcatenation("ab", allow_empty=allow_empty)
+        for items in itertools.islice(_word_patterns(3), 0, None, 7):
+            for value in _words("ab", 3, allow_empty):
+                yield w, word_pattern_term(items), value
+    for coeff, exps in TestNmulSolutionAssignments.MONOMIALS:
+        for value in range(2, 150):
+            yield NMUL, monomial_over(coeff, exps), value
+    term_alg = TermAlgebra(Signature({"f": 1, "g": 2, "a": 0, "b": 0}))
+    for pattern in ["x1", "f(x1)", "g(x1,x1)", "g(x1,x2)", "g(f(x1),x2)", "a"]:
+        for value in ["a", "f(a)", "g(a,a)", "g(a,b)", "g(f(b),b)", "f(f(a))"]:
+            yield term_alg, parse_term(pattern), parse_term(value)
+    for pattern in ["x1", "+(x1,x1)", "+(x1,5)", "+(3,+(x1,+(x1,x1)))", "7"]:
+        for value in range(-8, 9):
+            yield ZPLUS, parse_term(pattern), value
+    for pattern in ["x1", "*(x1,x1)", "*(2,x1)", "*(x1,*(x1,x1))", "*(1/2,*(x1,x1))", "9/4"]:
+        for value in [Fraction(v, d) for v in range(-9, 10) for d in (1, 2, 4)]:
+            yield QMUL, parse_term(pattern), value
+
+
+class TestCappedCount:
+    def test_count_is_capped_list_length(self):
+        for alg, term, value in _capped_count_cases():
+            listed = len(alg.solution_assignments(term, value))
+            for cap in (1, 2, 3):
+                assert alg.solution_count(term, value, cap) == min(listed, cap), (
+                    alg.name, term, value, cap)
+
+    def test_word_count_matches_capped_reference(self):
+        for allow_empty in (False, True):
+            w = WordConcatenation("ab", allow_empty=allow_empty)
+            for items in _word_patterns(3):
+                for value in _words("ab", 4, allow_empty):
+                    for cap in (1, 2, 3):
+                        want = len(_reference_matches(items, value, allow_empty, cap))
+                        assert w.solution_count(word_pattern_term(items), value, cap) == want
 
 
 class TestUnitySet:

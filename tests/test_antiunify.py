@@ -164,6 +164,44 @@ def _cross_check_inclusion(m1, m2, bound=6000):
         assert any(not _in_downset(n, m2) for n in values1), (m1, m2)
 
 
+def _power_products(exps, bound):
+    """Every product o1^e1 * ... * ov^ev <= bound with all oi >= 2."""
+    out = {1}
+    for e in exps:
+        grown = set()
+        for p in out:
+            o = 2
+            while p * o ** e <= bound:
+                grown.add(p * o ** e)
+                o += 1
+        out = grown
+    return out
+
+
+class TestRealizable:
+    BOUND = 1000
+
+    def test_matches_brute_force(self):
+        from anaprop.antiunify import _exponent_multisets, _realizable
+
+        products = {}
+        checked = realizable = 0
+        for n in range(1, self.BOUND + 1):
+            for exps in _exponent_multisets(n):
+                if exps not in products:
+                    products[exps] = _power_products(exps, self.BOUND)
+                assert _realizable(n, exps) == (n in products[exps]), (n, exps)
+                checked += 1
+                realizable += n in products[exps]
+        assert checked > 40000 and 0 < realizable < checked
+
+    def test_no_exponents(self):
+        from anaprop.antiunify import _realizable
+
+        assert _realizable(1, ())
+        assert not _realizable(2, ())
+
+
 class TestMgg:
     def test_worked_example(self):
         assert mgg(20, 30) == {m(10, 1)}

@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +13,15 @@ from anaprop.algebras import (
     FiniteAlgebra,
     IntAddition,
     NaturalMultiplication,
+    RationalMultiplication,
+    TermAlgebra,
     WordConcatenation,
     eval_term,
+    in_unity_set,
     load_finite_algebra,
     parse_word_pattern,
     solution_set,
+    word_pattern_term,
 )
 from anaprop.decider import (
     BehaviorAutomaton,
@@ -29,8 +34,8 @@ from anaprop.decider import (
 )
 from anaprop.oracle import (OracleBudgetExceeded, OracleUniverse, count_terms, enumerate_terms,
                             oracle_justifications)
-from anaprop.terms import (App, RewriteRule, Var, canonical_rule, parse_rule, parse_term, term_size,
-                           variables)
+from anaprop.terms import (App, RewriteRule, Signature, Var, canonical_rule, parse_rule, parse_term,
+                           term_size, variables)
 from tests.strategies import random_algebra_pair, random_finite_algebra, shaped_algebra_pair
 
 
@@ -1116,6 +1121,124 @@ class TestVerifyCharacteristic:
         assert verify_characteristic(rule, "a", "b", "a", "b", alg)
         dec = FragmentDecider(alg, k=1)
         assert dec.decide_arrow("a", "b", "a", "b").holds
+
+    def test_matches_reference_on_seeded_rules(self):
+        counts = {"held": 0, "failed": 0, "raised": 0}
+        for rule, quad, first, second in _verification_cases(random.Random(2020)):
+            for full in (False, True):
+                want = _outcome(_reference_verify_characteristic, rule, *quad, first, second, full)
+                got = _outcome(verify_characteristic, rule, *quad, first, second, full)
+                assert got == want, (rule, quad, first.name, full)
+                kind = {(True,): "held", (False,): "failed"}.get(want[1:], "raised")
+                counts[kind] += 1
+        assert min(counts.values()) >= 50, counts
+
+
+def _reference_joint_member(rule, a, b, algebra):
+    sols = solution_set(rule.lhs, a, algebra)
+    return any(eval_term(rule.rhs, sol, algebra) == b for sol in sols)
+
+
+def _reference_verify_characteristic(rule, a, b, c, d, first, second=None, full=False):
+    """verify_characteristic as first written: each membership and uniqueness
+    condition asks the algebra again."""
+    second = second if second is not None else first
+    if (not _reference_joint_member(rule, a, b, first)
+            or not _reference_joint_member(rule, c, d, second)):
+        return False
+    if not in_unity_set(rule.lhs, c, second):
+        return False
+    if full:
+        return (
+            variables(rule.lhs) == variables(rule.rhs)
+            and in_unity_set(rule.lhs, a, first)
+            and in_unity_set(rule.rhs, b, first)
+            and in_unity_set(rule.rhs, d, second)
+        )
+    return True
+
+
+def _outcome(verify, *args):
+    """``("value", result)``, or the type and message of what ``verify`` raised."""
+    try:
+        return ("value", verify(*args))
+    except Exception as exc:  # the exception itself is what is compared
+        return ("raise", type(exc), str(exc))
+
+
+def _verification_cases(rng, per_algebra=60):
+    """(rule, (a, b, c, d), first, second) over every algebra kind: b and d are
+    mostly the rule's images at solutions of a and c, sometimes another value;
+    some rules raise (an unknown symbol, a non-element constant, a solution set
+    the algebra cannot enumerate)."""
+    x1, x2 = Var("x1"), Var("x2")
+    sig = Signature({"f": 1, "g": 2, "a": 0, "b": 0})
+    ground = [App("a"), App("b"), parse_term("f(a)"), parse_term("g(a,b)"),
+              parse_term("g(f(b),b)")]
+    word_items = [x1, x2, App("a"), App("b")]
+
+    def term(leaves, functional, depth=2):
+        if depth == 0 or rng.random() < 0.35:
+            return rng.choice(leaves)
+        symbol, rank = rng.choice(functional)
+        return App(symbol, tuple(term(leaves, functional, depth - 1) for _ in range(rank)))
+
+    def word_term(items):
+        return word_pattern_term([rng.choice(items) for _ in range(rng.randint(1, 3))])
+
+    def word(allow_empty):
+        return "".join(rng.choice("ab") for _ in range(rng.randint(0 if allow_empty else 1, 3)))
+
+    kinds = []  # (first, second, lhs maker, rhs maker, element makers of first and second)
+    for i in range(4):
+        alg = random_finite_algebra(rng, max_size=3, name=f"v{i}")
+        ranks = dict(alg.signature.symbols())
+        other = shaped_algebra_pair(rng, ranks, len(alg.carrier))[1] if i % 2 else alg
+        fns = [(s, r) for s, r in ranks.items() if r > 0] or [("h", 1)]
+        leaves = [x1, x2] + [App(s) for s in alg.signature.constants()]
+        kinds.append((alg, other, lambda lv=leaves, f=fns: term(lv, f),
+                      lambda lv=leaves, f=fns: term(lv, f + [("h", 1)] * (rng.random() < 0.1)),
+                      (lambda c=alg.carrier: rng.choice(c), lambda c=other.carrier: rng.choice(c))))
+    for allow_empty in (False, True):
+        w = WordConcatenation("ab", allow_empty=allow_empty)
+        kinds.append((w, w, lambda: word_term(word_items),
+                      lambda: word_term(word_items + [App("c")] * (rng.random() < 0.1)),
+                      (lambda e=allow_empty: word(e),) * 2))
+    kinds.append((NaturalMultiplication(), NaturalMultiplication(),
+                  lambda: term([x1, x2, App("2"), App("3")], [("*", 2)]),
+                  lambda: term([x1, x2, App("2"), App("3"), App("1")], [("*", 2)]),
+                  (lambda: rng.randint(2, 24),) * 2))
+    kinds.append((IntAddition(), IntAddition(),
+                  lambda: term([x1, x1, x2, App("3")], [("+", 2)]),
+                  lambda: term([x1, x1, x2, App("-2")], [("+", 2)]),
+                  (lambda: rng.randint(-6, 6),) * 2))
+    kinds.append((RationalMultiplication(), RationalMultiplication(),
+                  lambda: term([x1, x1, x2, App("2"), App("0")], [("*", 2)]),
+                  lambda: term([x1, x2, App("1/2")], [("*", 2)]),
+                  (lambda: Fraction(rng.randint(-6, 6), rng.choice([1, 2])),) * 2))
+    kinds.append((TermAlgebra(sig), TermAlgebra(sig),
+                  lambda: term([x1, x2, App("a"), App("b")], [("f", 1), ("g", 2)]),
+                  lambda: term([x1, x2, App("a")], [("f", 1), ("g", 2), ("h", 1)]),
+                  (lambda: rng.choice(ground),) * 2))
+
+    for first, second, lhs_of, rhs_of, elements in kinds:
+        made = 0
+        while made < per_algebra:
+            lhs, rhs = lhs_of(), rhs_of()
+            if not variables(rhs) <= variables(lhs):
+                continue
+            quad = []
+            for alg, element in zip((first, second), elements):
+                sigma = {name: element() for name in variables(lhs)}
+                try:
+                    left, right = eval_term(lhs, sigma, alg), eval_term(rhs, sigma, alg)
+                except (ValueError, KeyError):
+                    left, right = element(), element()
+                if rng.random() < 0.25:
+                    right = element()
+                quad += [left, right]
+            yield RewriteRule(lhs, rhs), tuple(quad), first, second
+            made += 1
 
 
 def _reference_natural_solve(a, b, c):
