@@ -50,7 +50,7 @@ from .decider import (
     natural_solve,
     verify_characteristic,
 )
-from .oracle import OracleUniverse, enumerate_terms, oracle_justifications
+from .oracle import OracleUniverse, enumerate_terms
 from .terms import (
     App,
     RewriteRule,

@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from .terms import (
     App,
@@ -60,16 +60,22 @@ class Algebra:
     def parse_element(self, text: str) -> Element:
         raise NotImplementedError
 
-    # Solution machinery; defaults defer to per-algebra counting rules.
+    # Solution machinery: an algebra writes ``solutions``; the list and the
+    # capped count are derived from it.
 
-    def solution_assignments(self, term: Term, value: Element) -> list[Assignment]:
+    def solutions(self, term: Term, value: Element) -> Iterable[Assignment]:
+        """The assignments sending ``term`` to ``value``: a list, or a generator
+        when stopping early saves work."""
         raise UnsupportedQuery(
             f"solution sets are not enumerable over {self.name} for {term}"
         )
 
+    def solution_assignments(self, term: Term, value: Element) -> list[Assignment]:
+        return list(self.solutions(term, value))
+
     def solution_count(self, term: Term, value: Element, cap: int = 2) -> float:
         """Exact count of solutions, capped at ``cap`` (math.inf for infinite)."""
-        return min(len(self.solution_assignments(term, value)), cap)
+        return sum(1 for _ in itertools.islice(self.solutions(term, value), cap))
 
     def injective(self, term: Term) -> bool:
         raise UnsupportedQuery(f"injectivity undecided over {self.name} for {term}")
@@ -121,6 +127,12 @@ class FiniteAlgebra(Algebra):
         if len(set(self.carrier)) != len(self.carrier):
             raise AlgebraFormatError(f"algebra {self.name!r}: duplicate carrier labels")
         members = set(self.carrier)
+        # a saved table row joins its argument labels with ',' (algebra_to_json)
+        for label in self.carrier:
+            if "," in label:
+                raise AlgebraFormatError(
+                    f"algebra {self.name!r}: carrier label {label!r} contains ','"
+                )
         for sym, elem in self.constants.items():
             if elem not in members:
                 raise AlgebraFormatError(
@@ -140,6 +152,11 @@ class FiniteAlgebra(Algebra):
             if arity == 0:
                 raise AlgebraFormatError(
                     f"algebra {self.name!r}: rank-0 symbol {sym!r} belongs in constants"
+                )
+            if arity == 1 and "" in members:  # its saved row would be the empty key
+                raise AlgebraFormatError(
+                    f"algebra {self.name!r}: carrier label '' cannot be the argument "
+                    f"of unary symbol {sym!r}"
                 )
             for args in itertools.product(self.carrier, repeat=arity):
                 if args not in table:
@@ -218,17 +235,8 @@ class FiniteAlgebra(Algebra):
         for alpha in self.assignments(sorted(variables(term))):
             yield alpha, eval_term(term, alpha, self)
 
-    def solution_assignments(self, term: Term, value: Element) -> list[Assignment]:
-        return [alpha for alpha, v in self._values(term) if v == value]
-
-    def solution_count(self, term: Term, value: Element, cap: int = 2) -> float:
-        count = 0
-        for _, v in self._values(term):
-            if v == value:
-                count += 1
-                if count >= cap:
-                    return cap
-        return count
+    def solutions(self, term: Term, value: Element) -> Iterator[Assignment]:
+        return (alpha for alpha, v in self._values(term) if v == value)
 
     def injective(self, term: Term) -> bool:
         seen = set()
@@ -462,6 +470,32 @@ def _fraction_root(v: Fraction, e: int) -> Optional[Fraction]:
     return Fraction(num, den)
 
 
+def power_tuples(rest: int, exps: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every tuple (o1, ..., ov) of naturals >= 2 with o1^e1 * ... * ov^ev = rest
+    for ``exps`` = (e1, ..., ev), in lexicographic order."""
+    if not exps:
+        return [()] if rest == 1 else []
+    last = len(exps) - 1
+    out: list[tuple[int, ...]] = []
+
+    def descend(i: int, rest: int, acc: tuple[int, ...]) -> None:
+        e = exps[i]
+        if i == last:  # the last value is forced: the e-th root of what is left
+            o = _nth_root(rest, e)
+            if o is not None and o >= 2:
+                out.append((*acc, o))
+            return
+        bound = rest >> sum(exps[i + 1:])  # every later value is at least 2
+        o = 2
+        while (p := o ** e) <= bound:
+            if rest % p == 0:
+                descend(i + 1, rest // p, (*acc, o))
+            o += 1
+
+    descend(0, rest, ())
+    return out
+
+
 def divisors(n: int) -> list[int]:
     out = []
     d = 1
@@ -493,7 +527,7 @@ class IntAddition(Algebra):
     def parse_element(self, text: str) -> Element:
         return _parse_int(text)
 
-    def solution_assignments(self, term: Term, value: int) -> list[Assignment]:
+    def solutions(self, term: Term, value: int) -> list[Assignment]:
         const, coeffs = linear_form(term)
         if not coeffs:
             return [{}] if const == value else []
@@ -509,7 +543,7 @@ class IntAddition(Algebra):
     def solution_count(self, term: Term, value: int, cap: int = 2) -> float:
         const, coeffs = linear_form(term)
         if len(coeffs) <= 1:
-            return min(len(self.solution_assignments(term, value)), cap)
+            return super().solution_count(term, value, cap)
         g = math.gcd(*coeffs.values())
         return INFINITE if (value - const) % g == 0 else 0
 
@@ -537,7 +571,7 @@ class RationalMultiplication(Algebra):
         coeff, exps = monomial_form(term, _parse_fraction)
         return Fraction(coeff), exps
 
-    def solution_assignments(self, term: Term, value) -> list[Assignment]:
+    def solutions(self, term: Term, value) -> list[Assignment]:
         value = Fraction(value)
         coeff, exps = self._form(term)
         if not exps:
@@ -562,7 +596,7 @@ class RationalMultiplication(Algebra):
         if coeff == 0 and exps:
             return INFINITE if value == 0 else 0
         if len(exps) <= 1:
-            return min(len(self.solution_assignments(term, value)), cap)
+            return super().solution_count(term, value, cap)
         # Several variables, nonzero coefficient.  The product of powers ranges
         # over g-th powers of nonzero rationals, g = gcd of the exponents, and
         # any solution scales into infinitely many.
@@ -599,36 +633,15 @@ class NaturalMultiplication(Algebra):
             raise ValueError(f"{n} is not an element of nmul (needs n >= 2)")
         return n
 
-    def solution_assignments(self, term: Term, value: int) -> list[Assignment]:
+    def solutions(self, term: Term, value: int) -> list[Assignment]:
         coeff, exps = monomial_form(term, _parse_int)
         if not exps:
             return [{}] if coeff == value else []
         if value % coeff:
             return []
         names = sorted(exps)
-        last = len(names) - 1
-        out: list[Assignment] = []
-
-        def descend(i: int, rest: int, acc: Assignment) -> None:
-            name = names[i]
-            e = exps[name]
-            if i == last:  # the last value is forced: the e-th root of what is left
-                o = _nth_root(rest, e)
-                if o is not None and o >= 2:
-                    out.append({**acc, name: o})
-                return
-            # every later variable takes at least 2
-            bound = rest >> sum(exps[n] for n in names[i + 1:])
-            o = 2
-            while (p := o ** e) <= bound:
-                if rest % p == 0:
-                    acc[name] = o
-                    descend(i + 1, rest // p, acc)
-                    del acc[name]
-                o += 1
-
-        descend(0, value // coeff, {})
-        return out
+        powers = power_tuples(value // coeff, tuple(exps[n] for n in names))
+        return [dict(zip(names, values)) for values in powers]
 
     def injective(self, term: Term) -> bool:
         _, exps = monomial_form(term, _parse_int)
@@ -692,44 +705,35 @@ class WordConcatenation(Algebra):
         flatten(term)
         return items
 
-    def _matches(self, items: list[Term], word: str, cap: Optional[int] = None
-                 ) -> list[Assignment]:
+    def _matches(self, items: list[Term], word: str) -> Iterator[Assignment]:
+        """Each split of ``word`` along the pattern ``items``: depth first, each
+        variable's value shortest first."""
         min_len = 0 if self.allow_empty else 1
-        out: list[Assignment] = []
 
-        def descend(i: int, pos: int, binding: Assignment) -> bool:
-            if cap is not None and len(out) >= cap:
-                return True
+        def descend(i: int, pos: int, binding: Assignment) -> Iterator[Assignment]:
             if i == len(items):
                 if pos == len(word):
-                    out.append(dict(binding))
-                return cap is not None and len(out) >= cap
+                    yield dict(binding)
+                return
             item = items[i]
             if isinstance(item, App):
                 if word.startswith(item.symbol, pos):
-                    return descend(i + 1, pos + len(item.symbol), binding)
-                return False
+                    yield from descend(i + 1, pos + len(item.symbol), binding)
+                return
             bound = binding.get(item.name)
             if bound is not None:
                 if word.startswith(bound, pos):
-                    return descend(i + 1, pos + len(bound), binding)
-                return False
+                    yield from descend(i + 1, pos + len(bound), binding)
+                return
             for ln in range(min_len, len(word) - pos + 1):
                 binding[item.name] = word[pos : pos + ln]
-                if descend(i + 1, pos + ln, binding):
-                    del binding[item.name]
-                    return True
+                yield from descend(i + 1, pos + ln, binding)
                 del binding[item.name]
-            return False
 
-        descend(0, 0, {})
-        return out
+        return descend(0, 0, {})
 
-    def solution_assignments(self, term: Term, value: str) -> list[Assignment]:
+    def solutions(self, term: Term, value: str) -> Iterator[Assignment]:
         return self._matches(self.pattern(term), value)
-
-    def solution_count(self, term: Term, value: str, cap: int = 2) -> float:
-        return len(self._matches(self.pattern(term), value, cap=cap))
 
     def injective(self, term: Term) -> bool:
         items = self.pattern(term)
@@ -784,7 +788,7 @@ class TermAlgebra(Algebra):
     def parse_element(self, text: str) -> Element:
         return parse_term(text, self.signature)
 
-    def solution_assignments(self, term: Term, value: Term) -> list[Assignment]:
+    def solutions(self, term: Term, value: Term) -> list[Assignment]:
         sigma = generalizes(term, value)
         return [] if sigma is None else [dict(sigma)]
 

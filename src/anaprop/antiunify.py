@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable, Iterable, Optional
 
-from .algebras import FiniteAlgebra, divisors
+from .algebras import FiniteAlgebra, divisors, power_tuples
 from .terms import App, Term, Var, canonical_term, right_nested
 
 _VAR_LETTERS = "xyzvwpqrst"
@@ -83,15 +83,7 @@ def _factorize(n: int) -> dict[int, int]:
 @lru_cache(maxsize=None)
 def _realizable(n: int, exps: tuple[int, ...]) -> bool:
     """Can n be written as a product o1^e1 * ... * ov^ev with all oi >= 2?"""
-    if not exps:
-        return n == 1
-    e, rest = exps[0], exps[1:]
-    o = 2
-    while o ** e <= n:
-        if n % (o ** e) == 0 and _realizable(n // o ** e, rest):
-            return True
-        o += 1
-    return False
+    return bool(power_tuples(n, exps))
 
 
 def _exponent_multisets(limit: int) -> Iterable[tuple[int, ...]]:

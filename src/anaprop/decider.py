@@ -379,14 +379,6 @@ class FragmentDecider:
             for i, j in (pairs[p] for p in pids)
         }
 
-    def is_trivial_pair(self, sigma: BehaviorState, tau: BehaviorState) -> bool:
-        """True iff rules of this class justify every arrow proportion of the pair."""
-        for m, alg in enumerate(self.automaton.algebras):
-            hits = set(zip(sigma.tables[m], tau.tables[m]))
-            if len(hits) != len(alg.carrier) ** 2:
-                return False
-        return True
-
     def _arrow_status(self, left: int, right: int, a: str, b: str, c: str, d: str
                       ) -> tuple[bool, str, Optional[str], frozenset[int]]:
         """``(holds, reason, counter, shared)`` of ``a -> b`` in side ``left``
@@ -497,35 +489,35 @@ class FragmentDecider:
 # Justification verification through uniqueness conditions, and functional solutions
 
 
-def _joint_member(rule: RewriteRule, a, b, algebra: Algebra) -> bool:
-    """Membership of the rule in the justifications of a -> b: shared solution."""
-    sols = solution_set(rule.lhs, a, algebra)
-    return any(eval_term(rule.rhs, sol, algebra) == b for sol in sols)
-
-
 def verify_characteristic(rule: RewriteRule, a, b, c, d,
                           first: Algebra, second: Optional[Algebra] = None,
                           full: bool = False) -> bool:
     """Check that ``rule`` characteristically justifies ``a -> b :: c -> d``.
 
-    The rule must justify both arrows (shared-solution membership on each
-    side) and the third element must determine the fourth through a unique
-    left-hand solution.  With ``full=True`` all four uniqueness side
-    conditions are required and both sides must use the same variables (so
-    the mirrored rule justifies the reversed arrows), which pins the entire
-    proportion rather than the single arrow.
+    The rule must justify both arrows (a left-hand solution at a, resp. c,
+    that sends the right side to b, resp. d) and the third element must
+    determine the fourth through a unique left-hand solution.  With
+    ``full=True`` all four uniqueness side conditions are required and both
+    sides must use the same variables (so the mirrored rule justifies the
+    reversed arrows), which pins the entire proportion rather than the single
+    arrow.  Each left-hand solution set is enumerated once.
     """
     second = second if second is not None else first
-    if not _joint_member(rule, a, b, first) or not _joint_member(rule, c, d, second):
+    lhs, rhs = rule.lhs, rule.rhs
+    at_a = solution_set(lhs, a, first)
+    if not any(eval_term(rhs, sigma, first) == b for sigma in at_a):
         return False
-    if not in_unity_set(rule.lhs, c, second):
+    at_c = solution_set(lhs, c, second)
+    # membership before uniqueness, so that a right side the second algebra
+    # cannot evaluate raises whatever the number of solutions at c
+    if not any(eval_term(rhs, sigma, second) == d for sigma in at_c) or len(at_c) != 1:
         return False
     if full:
         return (
-            variables(rule.lhs) == variables(rule.rhs)
-            and in_unity_set(rule.lhs, a, first)
-            and in_unity_set(rule.rhs, b, first)
-            and in_unity_set(rule.rhs, d, second)
+            variables(lhs) == variables(rhs)
+            and len(at_a) == 1
+            and in_unity_set(rhs, b, first)
+            and in_unity_set(rhs, d, second)
         )
     return True
 
@@ -566,7 +558,7 @@ def natural_solve(a: int, b: int, c: int) -> dict[int, set[RewriteRule]]:
 
 
 class _SolutionMemo(NaturalMultiplication):
-    """nmul with each (term, value)'s solution assignments computed once.
+    """nmul with each (term, value)'s solutions computed once.
 
     One per ``natural_solve`` call: the verification of every candidate rule asks
     again for its left side's solutions at a and at c."""
@@ -574,11 +566,11 @@ class _SolutionMemo(NaturalMultiplication):
     def __init__(self) -> None:
         self._solutions: dict[tuple[Term, int], list[dict[str, int]]] = {}
 
-    def solution_assignments(self, term: Term, value: int) -> list[dict[str, int]]:
+    def solutions(self, term: Term, value: int) -> list[dict[str, int]]:
         key = (term, value)
         got = self._solutions.get(key)
         if got is None:
-            got = self._solutions[key] = super().solution_assignments(term, value)
+            got = self._solutions[key] = super().solutions(term, value)
         return got
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 from .algebras import FiniteAlgebra
 from .decider import (BehaviorState, FragmentDecider, TableKernel, check_fragment,
                       check_same_signature, child_tuples, leaves)
-from .terms import App, RewriteRule, Signature, Term
+from .terms import App, Signature, Term
 
 
 class OracleBudgetExceeded(Exception):
@@ -145,25 +145,6 @@ def term_tables(algebra: FiniteAlgebra, k: int, terms: list[Term],
     for batch in batches:
         kernel.add(kernel.compose(*batch))
     return kernel.tables
-
-
-def oracle_justifications(a: str, b: str, algebra: FiniteAlgebra, k: int,
-                          ell: Optional[int], depth: int) -> set[RewriteRule]:
-    """All in-fragment rules s -> t with a shared assignment sending s, t to a, b."""
-    terms, batches, occs = enumerate_fragment(algebra.signature, k, ell, depth)
-    if a not in algebra.carrier or b not in algebra.carrier:
-        return set()
-    hit = (algebra.index(a), algebra.index(b))
-    tables = term_tables(algebra, k, terms, batches)
-    masks = [sum(1 << v for v, n in enumerate(occ) if n) for occ in occs]  # used variables
-    out: set[RewriteRule] = set()
-    for i, s in enumerate(terms):
-        for j, t in enumerate(terms):
-            if masks[j] & ~masks[i]:
-                continue
-            if hit in zip(tables[i], tables[j]):
-                out.add(RewriteRule(s, t))
-    return out
 
 
 class OracleUniverse(FragmentDecider):

@@ -29,9 +29,10 @@ from anaprop.closedform import (
 )
 from anaprop.cli import run
 from anaprop.decider import FragmentDecider, StateCapExceeded, verify_characteristic
-from anaprop.oracle import OracleBudgetExceeded, OracleUniverse, oracle_justifications
+from anaprop.oracle import OracleBudgetExceeded, OracleUniverse
 from anaprop.terms import RewriteRule, parse_rule
 from tests.strategies import random_algebra_pair, random_finite_algebra
+from tests.test_decider import oracle_justifications
 
 ZPLUS = IntAddition()
 NMUL = NaturalMultiplication()

@@ -475,6 +475,26 @@ class TestAlgebraFile:
         with pytest.raises(AlgebraFormatError, match="carrier"):
             algebra_from_json('{"name": "x"}')
 
+    def test_labels_that_could_not_be_loaded_back(self):
+        unary = {"f": {("a,b",): "a,b"}}
+        with pytest.raises(AlgebraFormatError) as info:
+            FiniteAlgebra(name="x", carrier=("a,b",), ops=unary)
+        assert str(info.value) == "algebra 'x': carrier label 'a,b' contains ','"
+        with pytest.raises(AlgebraFormatError, match="carrier label 'a,b' contains ','"):
+            FiniteAlgebra(name="x", carrier=("a", "a,b"))
+        with pytest.raises(AlgebraFormatError) as info:
+            FiniteAlgebra(name="x", carrier=("", "a"),
+                          ops={"f": {("",): "a", ("a",): ""}})
+        assert str(info.value) == (
+            "algebra 'x': carrier label '' cannot be the argument of unary symbol 'f'")
+        with pytest.raises(AlgebraFormatError, match="carrier label 'a,b' contains ','"):
+            algebra_from_json('{"name": "x", "carrier": ["a,b"]}')
+
+    def test_empty_label_round_trips_without_unary_symbols(self):
+        alg = FiniteAlgebra(name="x", carrier=("", "a"), constants={"c": ""},
+                            ops={"g": {(u, v): v for u in ("", "a") for v in ("", "a")}})
+        assert algebra_from_json(algebra_to_json(alg)) == alg
+
 
 class TestWordPatterns:
     def test_parse_and_render(self):

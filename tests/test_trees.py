@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anaprop.terms import App, Var, canonical_term, generalizes, parse_term, substitute, variables
+from anaprop.terms import (App, Var, canonical_term, generalizes, parse_term, positions, substitute,
+                           variables)
 from anaprop.trees import (
     ChiMap,
     check_tree_arrow,
@@ -168,10 +169,21 @@ class TestInverseImage:
     def test_image_absent(self):
         assert inverse_image(b, {"x1": a}) == {b}
 
-    @given(terms(), st.sampled_from(["a", "b"]))
-    @settings(max_examples=100)
-    def test_members_substitute_back(self, q, img):
-        o = {"x9": App(img)}
+    def test_shared_image(self):
+        got = inverse_image(App("g", (a,)), {"x1": a, "x2": a})
+        assert got == {parse_term("g(a)"), parse_term("g(x1)"), parse_term("g(x2)")}
+
+    @given(terms(), st.data())
+    @settings(max_examples=200)
+    def test_members_substitute_back(self, q, data):
+        # one to three variables, the assigned ones possibly among q's own; the
+        # images are subterms of q, so candidates finds them, or constants
+        images = sorted({sub for _, sub in positions(q)} | {a, b}, key=str)
+        names = data.draw(st.lists(st.sampled_from(["x1", "x2", "x3", "x9"]),
+                                   min_size=1, max_size=3, unique=True))
+        o = {name: data.draw(st.sampled_from(images)) for name in names}
+        if len(names) > 1 and data.draw(st.booleans()):
+            o[names[1]] = o[names[0]]  # two variables with the same image
         for t in inverse_image(q, o):
             assert substitute(t, o) == q
 
