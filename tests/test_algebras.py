@@ -391,6 +391,21 @@ class TestUnitySet:
         assert in_unity_set(pattern, "bc", w)
         assert not in_unity_set(pattern, "abba", w)
 
+    # equations whose solution set is empty or infinite: never unique, never listed
+    @pytest.mark.parametrize("alg,pattern,value", [
+        pytest.param(ZPLUS, "+(+(x1,x1),+(x2,x2))", 5, id="zplus-empty"),
+        pytest.param(ZPLUS, "+(+(x1,x1),+(x2,x2))", 6, id="zplus-infinite"),
+        pytest.param(QMUL, "*(*(x1,x1),*(x2,x2))", Fraction(2), id="qmul-empty"),
+        pytest.param(QMUL, "*(*(x1,x1),*(x2,x2))", Fraction(4), id="qmul-infinite"),
+        pytest.param(QMUL, "*(0,x1)", Fraction(3), id="qmul-zero-coefficient-empty"),
+        pytest.param(QMUL, "*(0,x1)", Fraction(0), id="qmul-zero-coefficient-infinite"),
+    ])
+    def test_empty_or_infinite_is_not_unique_and_not_listed(self, alg, pattern, value):
+        term = parse_term(pattern)
+        assert not in_unity_set(term, value, alg)
+        with pytest.raises(UnsupportedQuery):
+            solution_set(term, value, alg)
+
 
 class TestInjective:
     def test_translation_injective(self):
