@@ -16,6 +16,7 @@ from .algebras import (
     NaturalMultiplication,
     RationalMultiplication,
     TermAlgebra,
+    UnlistableSolutions,
     UnsupportedQuery,
     WordConcatenation,
     check_homomorphism,

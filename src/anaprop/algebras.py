@@ -5,14 +5,13 @@ solution set ``solution_set(s, a)`` collects the assignments mapping the term
 to ``a``.  Finite algebras answer every query exhaustively; the built-in
 infinite algebras (integers with addition, rationals/naturals with
 multiplication, words with concatenation, the term algebra) answer through
-per-domain counting rules and raise :class:`UnsupportedQuery` for shapes they
-cannot decide exactly.
+per-domain solving rules and raise :class:`UnsupportedQuery` for shapes they
+cannot list.
 """
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -35,11 +34,14 @@ from .terms import (
 Element = Any
 Assignment = dict[str, Element]
 
-INFINITE = math.inf
-
 
 class UnsupportedQuery(Exception):
     """Raised when a built-in algebra cannot decide a query for this term shape."""
+
+
+class UnlistableSolutions(UnsupportedQuery):
+    """Raised instead of listing a solution set that is empty or infinite, so
+    it never has exactly one assignment."""
 
 
 class AlgebraFormatError(ValueError):
@@ -60,22 +62,13 @@ class Algebra:
     def parse_element(self, text: str) -> Element:
         raise NotImplementedError
 
-    # Solution machinery: an algebra writes ``solutions``; the list and the
-    # capped count are derived from it.
-
     def solutions(self, term: Term, value: Element) -> Iterable[Assignment]:
         """The assignments sending ``term`` to ``value``: a list, or a generator
-        when stopping early saves work."""
+        when stopping early saves work.  The one solution method an algebra
+        writes; ``solution_set`` and ``in_unity_set`` read it."""
         raise UnsupportedQuery(
             f"solution sets are not enumerable over {self.name} for {term}"
         )
-
-    def solution_assignments(self, term: Term, value: Element) -> list[Assignment]:
-        return list(self.solutions(term, value))
-
-    def solution_count(self, term: Term, value: Element, cap: int = 2) -> float:
-        """Exact count of solutions, capped at ``cap`` (math.inf for infinite)."""
-        return sum(1 for _ in itertools.islice(self.solutions(term, value), cap))
 
     def injective(self, term: Term) -> bool:
         raise UnsupportedQuery(f"injectivity undecided over {self.name} for {term}")
@@ -94,12 +87,16 @@ def eval_term(term: Term, assignment: Assignment, algebra: Algebra) -> Element:
 
 def solution_set(term: Term, value: Element, algebra: Algebra) -> list[Assignment]:
     """All assignments over the term's variables evaluating it to ``value``."""
-    return algebra.solution_assignments(term, value)
+    return list(algebra.solutions(term, value))
 
 
 def in_unity_set(term: Term, value: Element, algebra: Algebra) -> bool:
-    """True iff the equation ``term = value`` has exactly one solution."""
-    return algebra.solution_count(term, value, cap=2) == 1
+    """True iff the equation ``term = value`` has exactly one solution; the
+    solutions are counted up to two."""
+    try:
+        return len(list(itertools.islice(algebra.solutions(term, value), 2))) == 1
+    except UnlistableSolutions:
+        return False
 
 
 def is_injective_term(term: Term, algebra: Algebra) -> bool:
@@ -536,16 +533,9 @@ class IntAddition(Algebra):
             if (value - const) % m == 0:
                 return [{name: (value - const) // m}]
             return []
-        raise UnsupportedQuery(
-            "solution sets over zplus are infinite for terms with several variables"
+        raise UnlistableSolutions(
+            "solution sets over zplus are empty or infinite for terms with several variables"
         )
-
-    def solution_count(self, term: Term, value: int, cap: int = 2) -> float:
-        const, coeffs = linear_form(term)
-        if len(coeffs) <= 1:
-            return super().solution_count(term, value, cap)
-        g = math.gcd(*coeffs.values())
-        return INFINITE if (value - const) % g == 0 else 0
 
     def injective(self, term: Term) -> bool:
         _, coeffs = linear_form(term)
@@ -579,31 +569,17 @@ class RationalMultiplication(Algebra):
         if len(exps) == 1:
             ((name, e),) = exps.items()
             if coeff == 0:
-                raise UnsupportedQuery("zero-coefficient equations have infinite solution sets")
+                raise UnlistableSolutions(
+                    "zero-coefficient equations have empty or infinite solution sets")
             root = _fraction_root(value / coeff, e)
             if root is None:
                 return []
             if e % 2 == 0 and root != 0:
                 return [{name: root}, {name: -root}]
             return [{name: root}]
-        raise UnsupportedQuery(
-            "solution sets over qmul are infinite for terms with several variables"
+        raise UnlistableSolutions(
+            "solution sets over qmul are empty or infinite for terms with several variables"
         )
-
-    def solution_count(self, term: Term, value, cap: int = 2) -> float:
-        value = Fraction(value)
-        coeff, exps = self._form(term)
-        if coeff == 0 and exps:
-            return INFINITE if value == 0 else 0
-        if len(exps) <= 1:
-            return super().solution_count(term, value, cap)
-        # Several variables, nonzero coefficient.  The product of powers ranges
-        # over g-th powers of nonzero rationals, g = gcd of the exponents, and
-        # any solution scales into infinitely many.
-        if value == 0:
-            return INFINITE
-        g = math.gcd(*exps.values())
-        return INFINITE if _fraction_root(value / coeff, g) is not None else 0
 
     def injective(self, term: Term) -> bool:
         coeff, exps = self._form(term)

@@ -62,7 +62,7 @@ from .decider import (
     natural_solve,
     verify_characteristic,
 )
-from .oracle import OracleBudgetExceeded, OracleUniverse
+from .oracle import OracleBudgetExceeded, OracleUniverse, count_terms
 from .terms import (
     RewriteRule,
     TermSyntaxError,
@@ -92,10 +92,11 @@ INPUT_ERRORS = (
     OSError,
 )
 
-# Terms the oracle engine may enumerate before it gives up with
-# OracleBudgetExceeded.  On a 2-core x86-64 machine, reaching the limit took
-# about a second and 60 MB, and evaluating an accepted universe of 80,000
-# terms took 3 s; with no limit, one two-element algebra ran out of memory.
+# Terms the oracle engine, or antiunify over a finite algebra, may enumerate
+# before it gives up with OracleBudgetExceeded.  On a 2-core x86-64 machine,
+# reaching the limit took about a second and 60 MB, and evaluating an accepted
+# universe of 80,000 terms took 3 s; with no limit, one two-element algebra ran
+# out of memory.
 ORACLE_TERM_LIMIT = 200_000
 
 
@@ -559,6 +560,9 @@ def antiunify_command(out: Output, a: str, b: str, algebra_spec: str, k: int,
         )
     elif isinstance(algebra, FiniteAlgebra):
         va, vb = algebra.parse_element(a), algebra.parse_element(b)
+        if count_terms(algebra.signature, k, None, depth, ORACLE_TERM_LIMIT) > ORACLE_TERM_LIMIT:
+            raise OracleBudgetExceeded(
+                f"term universe exceeds {ORACLE_TERM_LIMIT} terms; lower --depth")
         shared = sorted(
             render(t)
             for t in antiunify.bounded_gens(va, algebra, k, depth)

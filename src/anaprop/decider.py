@@ -16,8 +16,8 @@ import itertools
 import operator
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from typing import Iterable, Iterator, Optional
+from functools import cache, cached_property, partial, reduce
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import antiunify  # by module: tracing wraps antiunify.common_gens in place
 from .algebras import (
@@ -408,9 +408,6 @@ class FragmentDecider:
         return ((0, 1, a, b, c, d), (0, 1, b, a, d, c),
                 (1, 0, c, d, a, b), (1, 0, d, c, b, a))
 
-    def _holds(self, a: str, b: str, c: str, d: str) -> bool:
-        return all(self._arrow_status(*arrow)[0] for arrow in self._arrows(a, b, c, d))
-
     def decide_arrow(self, a: str, b: str, c: str, d: str,
                      swap: bool = False) -> Verdict:
         """Decide ``a -> b :: c -> d`` (in the swapped pair when ``swap``)."""
@@ -441,10 +438,6 @@ class FragmentDecider:
         return Verdict(True, "maximal", witness=self._smallest_rule(shared),
                        arrow=None if arrow is arrows[0] else _arrow_label(*arrow[2:]))
 
-    def solve(self, a: str, b: str, c: str) -> list[str]:
-        """All d with a : b :: c : d, in carrier order of the second algebra."""
-        return [d for d in self._carrier(1) if self._holds(a, b, c, d)]
-
     def _fourths(self, left: int, right: int, a: str, b: str, c: str) -> list[str]:
         """The arrow family of ``a -> b`` in side ``left`` and c in side ``right``:
         every d, in carrier order, for which ``a -> b :. c -> d`` holds.
@@ -463,22 +456,31 @@ class FragmentDecider:
         shared = [lhs & cell for cell in cells]
         return [d for d, s in zip(carrier, shared) if s and not any(s < t for t in shared)]
 
-    def enumerate_all(self) -> list[tuple[str, str, str, str]]:
-        """Every holding quadruple over the carrier pair, read from arrow families.
+    @staticmethod
+    def _solutions(a: str, b: str, c: str, f01: Callable[[str, str, str], list[str]],
+                   f10: Callable[[str, str, str], list[str]]) -> list[str]:
+        """Every d with a : b :: c : d, in carrier order, from the arrow families
+        ``f01`` and ``f10`` that ``_fourths`` lists for the sides (0, 1) and (1, 0).
 
-        With F01(a, b, c) and F10(c, d, a) the families ``_fourths`` lists for
-        the sides (0, 1) and (1, 0), a : b :: c : d holds iff d is in F01(a, b, c),
-        c in F01(b, a, d), b in F10(c, d, a) and a in F10(d, c, b).  Over one
-        algebra F10 is F01, so one table serves.  The tables live for the call.
-        """
+        a : b :: c : d holds iff d is in F01(a, b, c), c in F01(b, a, d), b in
+        F10(c, d, a) and a in F10(d, c, b)."""
+        return [d for d in f01(a, b, c)
+                if c in f01(b, a, d) and b in f10(c, d, a) and a in f10(d, c, b)]
+
+    def solve(self, a: str, b: str, c: str) -> list[str]:
+        """All d with a : b :: c : d, in carrier order of the second algebra."""
+        return self._solutions(a, b, c, partial(self._fourths, 0, 1),
+                               partial(self._fourths, 1, 0))
+
+    def enumerate_all(self) -> list[tuple[str, str, str, str]]:
+        """Every holding quadruple over the carrier pair, by ``_solutions`` over
+        arrow families that are each listed once.  Over one algebra F10 is F01,
+        so one table serves.  The tables live for the call."""
         first, second = self._carrier(0), self._carrier(1)
-        f01 = {(a, b, c): self._fourths(0, 1, a, b, c)
-               for a in first for b in first for c in second}
-        f10 = f01 if self.sides == (0, 0) else {
-            (c, d, a): self._fourths(1, 0, c, d, a)
-            for c in second for d in second for a in first}
-        return [(a, b, c, d) for (a, b, c), fourths in f01.items() for d in fourths
-                if c in f01[b, a, d] and b in f10[c, d, a] and a in f10[d, c, b]]
+        f01 = cache(partial(self._fourths, 0, 1))
+        f10 = f01 if self.sides == (0, 0) else cache(partial(self._fourths, 1, 0))
+        return [(a, b, c, d) for a in first for b in first for c in second
+                for d in self._solutions(a, b, c, f01, f10)]
 
     @property
     def state_count(self) -> int:

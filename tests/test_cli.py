@@ -311,6 +311,19 @@ class TestAntiunify:
         assert out == ""
         assert "--depth" in err and "x>=0" in err
 
+    def test_finite_over_the_term_limit_is_an_input_error(self, capsys, tmp_path):
+        # one binary symbol over two elements: 677 terms to depth 4, and more
+        # than 200,000 at depth 5, which ran out of memory with no limit
+        path = tmp_path / "bin.json"
+        save_finite_algebra(FiniteAlgebra(
+            name="Bin", carrier=("e0", "e1"),
+            ops={"h": {("e0", "e0"): "e1", ("e0", "e1"): "e0",
+                       ("e1", "e0"): "e0", ("e1", "e1"): "e1"}}), str(path))
+        argv = ["antiunify", "e0", "e1", "--algebra", str(path), "--depth"]
+        assert invoke(capsys, *argv, "5") == (
+            2, "", f"error: term universe exceeds {ORACLE_TERM_LIMIT} terms; lower --depth\n")
+        assert invoke(capsys, *argv, "4")[0] == 0
+
     @pytest.mark.parametrize("option", [["--k", "3"], ["--depth", "0"]])
     def test_nmul_takes_no_k_or_depth(self, capsys, option):
         # both bound the terms of the finite-algebra search, which nmul does not run
@@ -516,6 +529,17 @@ class TestCheckRule:
         refused = (2, "", "error: algebras 'A2' and 'A1' have different signatures\n")
         assert invoke(capsys, "check-rule", "x1 -> x1", "a", "a", "a", "a", *pair) == refused
         assert invoke(capsys, "decide", "a", "a", "a", "a", *pair) == refused
+
+    @pytest.mark.parametrize("argv, message", [
+        # 2*x1 + 2*x2 = 5 has no solution
+        (["+(+(x1,x1),+(x2,x2)) -> x1", "5", "5", "7", "7", "--algebra", "zplus"],
+         "solution sets over zplus are empty or infinite for terms with several variables"),
+        # 0*x1 = 3 has no solution
+        (["*(0,x1) -> x1", "3", "3", "3", "3", "--algebra", "qmul"],
+         "zero-coefficient equations have empty or infinite solution sets"),
+    ])
+    def test_unlistable_solution_sets_are_refused(self, capsys, argv, message):
+        assert invoke(capsys, "check-rule", *argv) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("rule", ["x1bx2", "x1 -> b -> x1"])
     def test_word_rule_needs_one_arrow(self, capsys, rule):
