@@ -1,6 +1,8 @@
+import collections
 import functools
 import itertools
 import os
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -28,6 +30,7 @@ from anaprop.decider import (
     BehaviorState,
     FragmentDecider,
     StateCapExceeded,
+    Verdict,
     functional_solve,
     natural_solve,
     verify_characteristic,
@@ -270,6 +273,61 @@ class TestVerdictWitness:
                 assert rule is dec._smallest_rule(frozenset({pid}))
 
 
+class TestVerdictContract:
+    """What callers see of ``Verdict`` and ``BehaviorState``: fields, defaults,
+    ``repr``, value equality, the hash of the field tuple, read-only fields and
+    pickling."""
+
+    rule = parse_rule("x1 -> f(x1)")
+    holding = Verdict(True, "maximal", witness=rule, arrow="b->a :. d->c")
+    failing = Verdict(False, "not-maximal", counter="e1", arrow="a->b :. c->d")
+    state = BehaviorState(((0, 1), (1, 1)), (1,))
+
+    def test_repr(self):
+        assert repr(self.holding) == (
+            "Verdict(holds=True, reason='maximal', witness=RewriteRule(lhs=Var(name='x1'), "
+            "rhs=App(symbol='f', args=(Var(name='x1'),))), counter=None, "
+            "arrow='b->a :. d->c')")
+        assert repr(self.failing) == (
+            "Verdict(holds=False, reason='not-maximal', witness=None, counter='e1', "
+            "arrow='a->b :. c->d')")
+        assert repr(self.state) == "BehaviorState(tables=((0, 1), (1, 1)), occ=(1,))"
+
+    def test_defaults_and_keywords(self):
+        assert _fields(Verdict(True, "all-trivial")) == (True, "all-trivial", None, None, None)
+        assert Verdict(holds=False, reason="not-maximal", counter="e1",
+                       arrow="a->b :. c->d") == self.failing
+        assert BehaviorState(tables=((0, 1), (1, 1)), occ=(1,)) == self.state
+
+    def test_hash_is_the_hash_of_the_fields(self):
+        assert hash(self.holding) == hash((True, "maximal", self.rule, None, "b->a :. d->c"))
+        assert hash(self.failing) == hash((False, "not-maximal", None, "e1", "a->b :. c->d"))
+        assert hash(self.state) == hash((((0, 1), (1, 1)), (1,)))
+
+    def test_equality_of_equal_instances(self):
+        assert self.holding == Verdict(True, "maximal", witness=parse_rule("x1 -> f(x1)"),
+                                       arrow="b->a :. d->c")
+        assert self.holding != Verdict(True, "maximal", witness=self.rule)
+        assert self.state == BehaviorState(((0, 1), (1, 1)), (1,))
+        assert self.state != BehaviorState(((0, 1), (1, 1)), (0,))
+        dec = FragmentDecider(alg_a1(), k=1)
+        assert dec.decide_proportion("a", "b", "c", "d") == dec.decide_proportion(
+            "a", "b", "c", "d")
+
+    def test_fields_are_read_only(self):
+        for obj, name in ((self.holding, "holds"), (self.failing, "counter"),
+                          (self.state, "tables"), (self.state, "occ")):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+
+    def test_pickle_round_trip(self):
+        dec = FragmentDecider(alg_a1(), k=1)
+        for obj in (self.holding, self.failing, self.state,
+                    dec.decide_proportion("a", "b", "c", "d"), dec.automaton.states[-1]):
+            back = pickle.loads(pickle.dumps(obj))
+            assert back == obj and type(back) is type(obj)
+
+
 def _quads(dec):
     first, second = dec.automaton.algebras[0], dec.automaton.algebras[-1]
     return list(itertools.product(first.carrier, first.carrier,
@@ -289,6 +347,27 @@ def _random_decider(seed):
         return FragmentDecider(first, second, k=k, ell=ell, cap=40)
     except StateCapExceeded:
         return None
+
+
+def _trivial_draws():
+    """Deciders and oracle universes whose trivial set is often non-empty:
+    one-element algebras, and k = 2 over two elements with a binary symbol."""
+    rng = random.Random(1616)
+    engines = [functools.partial(FragmentDecider, cap=200),
+               functools.partial(OracleUniverse, depth=3, limit=300)]
+    for case in range(40):
+        if case % 2:
+            first, second = random_algebra_pair(rng, max_size=1)
+            k = rng.choice([0, 1, 2])
+        else:
+            first, second = shaped_algebra_pair(rng, {"h": 2}, 2)
+            k = 2
+        ell = rng.choice([1, 2, None])
+        for engine in engines:
+            try:
+                yield engine(first, second, k=k, ell=ell)
+            except (StateCapExceeded, OracleBudgetExceeded):
+                continue
 
 
 class TestBatchAgreesWithDecide:
@@ -322,27 +401,10 @@ class TestBatchAgreesWithDecide:
         self._check(uni)
 
     def test_with_trivial_pairs(self):
-        """Draws whose trivial set is often non-empty: one-element algebras, and
-        k = 2 over two elements with a binary symbol."""
-        rng = random.Random(1616)
-        engines = [functools.partial(FragmentDecider, cap=200),
-                   functools.partial(OracleUniverse, depth=3, limit=300)]
         with_trivial = 0
-        for case in range(40):
-            if case % 2:
-                first, second = random_algebra_pair(rng, max_size=1)
-                k = rng.choice([0, 1, 2])
-            else:
-                first, second = shaped_algebra_pair(rng, {"h": 2}, 2)
-                k = 2
-            ell = rng.choice([1, 2, None])
-            for engine in engines:
-                try:
-                    dec = engine(first, second, k=k, ell=ell)
-                except (StateCapExceeded, OracleBudgetExceeded):
-                    continue
-                self._check(dec)
-                with_trivial += bool(dec._index[2])
+        for dec in _trivial_draws():
+            self._check(dec)
+            with_trivial += bool(dec._index[2])
         assert with_trivial > 30
 
     @given(st.integers(0, 10 ** 6))
@@ -375,6 +437,100 @@ class TestBatchAgreesWithDecide:
             if proportion.witness is not None and proportion.arrow in (None, inner):
                 named = (a, b, c, d) if proportion.arrow is None else (b, a, d, c)
                 assert proportion.witness == dec.decide_arrow(*named).witness
+
+
+def _reference_arrow_status(dec, left, right, a, b, c, d):
+    """A literal copy of ``FragmentDecider._arrow_status`` as it was when every
+    d2 was tested by building its shared set: ``(holds, reason, counter, shared)``."""
+    _, sides, trivial = dec._index
+    lhs = sides[left].get((a, b), frozenset())
+    rhs = sides[right].get((c, d), frozenset())
+    if lhs <= trivial and rhs <= trivial:
+        return True, "all-trivial", None, frozenset()
+    lhs = lhs - trivial
+    shared = lhs & rhs
+    reason = "not-maximal" if shared else "empty-intersection"
+    for d2 in dec._carrier(right):
+        if shared < lhs & sides[right].get((c, d2), frozenset()):
+            return False, reason, d2, shared
+    if not shared:
+        return False, reason, None, shared
+    return True, "maximal", None, shared
+
+
+def _reference_proportion(dec, a, b, c, d):
+    """``decide_proportion``'s fields, from the reference arrow statuses."""
+    arrows = [(0, 1, a, b, c, d), (0, 1, b, a, d, c), (1, 0, c, d, a, b), (1, 0, d, c, b, a)]
+    first_maximal = None
+    for n, arrow in enumerate(arrows):
+        holds, reason, counter, shared = _reference_arrow_status(dec, *arrow)
+        if not holds:
+            return False, reason, None, counter, "{}->{} :. {}->{}".format(*arrow[2:])
+        if reason == "maximal" and first_maximal is None:
+            first_maximal = n, shared
+    if first_maximal is None:
+        return True, "all-trivial", None, None, None
+    n, shared = first_maximal
+    return (True, "maximal", dec._smallest_rule(shared), None,
+            None if n == 0 else "{}->{} :. {}->{}".format(*arrows[n][2:]))
+
+
+def _fields(verdict):
+    return verdict.holds, verdict.reason, verdict.witness, verdict.counter, verdict.arrow
+
+
+class TestArrowStatusReference:
+    """decide_arrow and decide_proportion give the reference arrow statuses'
+    fields; the branches counted in ``_check`` are each reached."""
+
+    @staticmethod
+    def _check(dec, seen):
+        _, sides, trivial = dec._index
+        first, second = dec._carrier(0), dec._carrier(1)
+        for swap, (lefts, rights) in ((False, (first, second)), (True, (second, first))):
+            left, right = (1, 0) if swap else (0, 1)
+            for a, b, c, d in itertools.product(lefts, lefts, rights, rights):
+                holds, reason, counter, shared = _reference_arrow_status(
+                    dec, left, right, a, b, c, d)
+                witness = dec._smallest_rule(shared) if reason == "maximal" else None
+                got = dec.decide_arrow(a, b, c, d, swap=swap)
+                assert _fields(got) == (holds, reason, witness, counter,
+                                        f"{a}->{b} :. {c}->{d}"), (swap, (a, b, c, d))
+                lhs = sides[left].get((a, b), frozenset())
+                rhs = sides[right].get((c, d), frozenset())
+                if lhs <= trivial and rhs <= trivial:
+                    continue
+                seen["trivial"] += bool(trivial)
+                lhs = lhs - trivial
+                seen["empty lhs"] += not lhs
+                seen["lhs within rhs"] += bool(lhs) and lhs <= rhs
+        for quad in itertools.product(first, first, second, second):
+            assert _fields(dec.decide_proportion(*quad)) == _reference_proportion(dec, *quad), quad
+
+    def test_trivial_draws(self):
+        seen = collections.Counter()
+        for dec in _trivial_draws():
+            self._check(dec, seen)
+        assert all(seen[branch] for branch in ("trivial", "empty lhs", "lhs within rhs")), seen
+
+    def test_random_draws(self):
+        seen = collections.Counter()
+        for seed in range(40):
+            dec = _random_decider(seed)
+            if dec is not None:
+                self._check(dec, seen)
+        assert seen["empty lhs"] and seen["lhs within rhs"], seen
+
+    def test_oracle_universes(self):
+        seen = collections.Counter()
+        for seed in range(40):
+            first, second, k, ell = _random_draw(seed)
+            try:
+                uni = OracleUniverse(first, second, k=k, ell=ell, depth=3, limit=300)
+            except OracleBudgetExceeded:
+                continue
+            self._check(uni, seen)
+        assert seen["empty lhs"] and seen["lhs within rhs"], seen
 
 
 class TestOracleEnumeration:
