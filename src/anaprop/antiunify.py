@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .algebras import FiniteAlgebra, divisors, power_tuples
 from .terms import App, Term, Var, canonical_term, right_nested
@@ -226,14 +226,15 @@ def mgg(a: int, b: int, gens: Optional[set[Monomial]] = None) -> set[Monomial]:
 # Generic depth-bounded fallback for finite algebras
 
 
-def bounded_gens(value, algebra: FiniteAlgebra, k: int, depth: int) -> set[Term]:
-    """All terms to the given depth with <= k variables that can evaluate to ``value``."""
+def bounded_gens(values: Sequence, algebra: FiniteAlgebra, k: int, depth: int) -> set[Term]:
+    """All terms to the given depth with <= k variables that can evaluate to
+    each of ``values``, the fragment enumerated once for all of them."""
     from .oracle import enumerate_fragment, term_tables
 
     terms, batches, _ = enumerate_fragment(algebra.signature, k, None, depth)
-    if value not in algebra.carrier:
+    if any(value not in algebra.carrier for value in values):
         return set()
-    target = algebra.index(value)
+    targets = [algebra.index(value) for value in values]
     return {canonical_term(term)
             for term, table in zip(terms, term_tables(algebra, k, terms, batches))
-            if target in table}
+            if all(target in table for target in targets)}

@@ -563,11 +563,7 @@ def antiunify_command(out: Output, a: str, b: str, algebra_spec: str, k: int,
         if count_terms(algebra.signature, k, None, depth, ORACLE_TERM_LIMIT) > ORACLE_TERM_LIMIT:
             raise OracleBudgetExceeded(
                 f"term universe exceeds {ORACLE_TERM_LIMIT} terms; lower --depth")
-        shared = sorted(
-            render(t)
-            for t in antiunify.bounded_gens(va, algebra, k, depth)
-            & antiunify.bounded_gens(vb, algebra, k, depth)
-        )
+        shared = sorted(render(t) for t in antiunify.bounded_gens((va, vb), algebra, k, depth))
         out.emit(
             {"command": "antiunify", "common": shared},
             f"common: {{{', '.join(shared)}}}",

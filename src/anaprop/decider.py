@@ -15,9 +15,8 @@ import bisect
 import itertools
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import antiunify  # by module: tracing wraps antiunify.common_gens in place
 from .algebras import (
@@ -40,16 +39,14 @@ class StateCapExceeded(Exception):
     """The reachable behavior-state space outgrew the configured cap."""
 
 
-@dataclass(frozen=True)
-class BehaviorState:
+class BehaviorState(NamedTuple):
     """Evaluation tables (one per algebra) plus saturated occurrence counts."""
 
     tables: tuple[tuple[int, ...], ...]
     occ: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     holds: bool
     reason: str  # all-trivial | maximal | not-maximal | empty-intersection
     witness: Optional[RewriteRule] = None
@@ -386,17 +383,30 @@ class FragmentDecider:
         non-trivial class pairs justifying both, from which a witness is chosen.
 
         The counter is the first d2 whose shared set strictly contains
-        ``shared``; for an empty ``shared`` that is the first non-empty one."""
+        ``shared``; for an empty ``shared`` that is the first non-empty one.
+        As ``shared`` lies within ``lhs``, d2's shared set strictly contains it
+        iff d2's cell holds all of ``shared`` and one of ``extra = lhs -
+        shared``; when ``extra`` is empty no d2 can."""
         _, sides, trivial = self._index
         lhs = sides[left].get((a, b), _EMPTY)
         rhs = sides[right].get((c, d), _EMPTY)
-        if lhs <= trivial and rhs <= trivial:
-            return True, "all-trivial", None, frozenset()
-        lhs = lhs - trivial
+        if trivial:
+            if lhs <= trivial and rhs <= trivial:
+                return True, "all-trivial", None, _EMPTY
+            lhs = lhs - trivial
+        elif not lhs and not rhs:
+            return True, "all-trivial", None, _EMPTY
+        if not lhs:
+            return False, "empty-intersection", None, _EMPTY
         shared = lhs & rhs
+        extra = lhs - shared
+        if not extra:
+            return True, "maximal", None, shared
         reason = "not-maximal" if shared else "empty-intersection"
+        row = sides[right]
         for d2 in self._carrier(right):
-            if shared < lhs & sides[right].get((c, d2), _EMPTY):
+            cell = row.get((c, d2), _EMPTY)
+            if shared <= cell and not extra.isdisjoint(cell):
                 return False, reason, d2, shared
         if not shared:
             return False, reason, None, shared

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -259,7 +260,7 @@ class TestBoundedGens:
             carrier=("a", "b", "c", "d"),
             ops={"f": {("a",): "b", ("b",): "b", ("c",): "c", ("d",): "d"}},
         )
-        got = bounded_gens("b", alg, k=1, depth=2)
+        got = bounded_gens(["b"], alg, k=1, depth=2)
         assert got == {
             Var("x1"),
             parse_term("f(x1)"),
@@ -268,11 +269,11 @@ class TestBoundedGens:
 
     def test_variable_only_signature(self):
         alg = FiniteAlgebra(name="bare", carrier=("a", "b"))
-        assert bounded_gens("a", alg, k=1, depth=3) == {Var("x1")}
+        assert bounded_gens(["a"], alg, k=1, depth=3) == {Var("x1")}
 
     def test_depth_zero_not_distinguished(self):
         alg = FiniteAlgebra(name="bare", carrier=("a", "b"), constants={"c0": "b"})
-        assert bounded_gens("a", alg, k=1, depth=0) == {Var("x1")}
+        assert bounded_gens(["a"], alg, k=1, depth=0) == {Var("x1")}
 
     def test_matches_direct_evaluation(self):
         rng = random.Random(616)
@@ -280,8 +281,13 @@ class TestBoundedGens:
             alg = random_finite_algebra(rng, max_size=3)
             k, depth = rng.choice([0, 1, 2]), rng.randint(0, 2)
             terms = enumerate_terms(alg.signature, k, None, depth)
+            want = {value: {canonical_term(t) for t in terms
+                            if any(eval_term(t, alpha, alg) == value
+                                   for alpha in alg.assignments(sorted(variables(t))))}
+                    for value in alg.carrier}
             for value in alg.carrier:
-                want = {canonical_term(t) for t in terms
-                        if any(eval_term(t, alpha, alg) == value
-                               for alpha in alg.assignments(sorted(variables(t))))}
-                assert bounded_gens(value, alg, k, depth) == want, (case, k, depth, value)
+                assert bounded_gens([value], alg, k, depth) == want[value], (case, k, depth, value)
+            # several values: the terms that can reach each of them
+            for pair in itertools.product(alg.carrier, repeat=2):
+                assert bounded_gens(pair, alg, k, depth) == want[pair[0]] & want[pair[1]], (
+                    case, k, depth, pair)
