@@ -228,9 +228,12 @@ def mgg(a: int, b: int, gens: Optional[set[Monomial]] = None) -> set[Monomial]:
 
 def bounded_gens(values: Sequence, algebra: FiniteAlgebra, k: int, depth: int) -> set[Term]:
     """All terms to the given depth with <= k variables that can evaluate to
-    each of ``values``, the fragment enumerated once for all of them."""
+    each of ``values``, the fragment enumerated once for all of them.  A bare
+    string is refused rather than read as a sequence of one-character values."""
     from .oracle import enumerate_fragment, term_tables
 
+    if isinstance(values, str):
+        raise TypeError(f"bounded_gens takes a sequence of values, not the string {values!r}")
     terms, batches, _ = enumerate_fragment(algebra.signature, k, None, depth)
     if any(value not in algebra.carrier for value in values):
         return set()

@@ -15,6 +15,7 @@ import bisect
 import itertools
 import operator
 from collections import defaultdict
+from dataclasses import dataclass
 from functools import cache, cached_property, partial, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -46,7 +47,8 @@ class BehaviorState(NamedTuple):
     occ: tuple[int, ...]
 
 
-class Verdict(NamedTuple):
+@dataclass(frozen=True)
+class Verdict:
     holds: bool
     reason: str  # all-trivial | maximal | not-maximal | empty-intersection
     witness: Optional[RewriteRule] = None
@@ -390,26 +392,21 @@ class FragmentDecider:
         _, sides, trivial = self._index
         lhs = sides[left].get((a, b), _EMPTY)
         rhs = sides[right].get((c, d), _EMPTY)
-        if trivial:
-            if lhs <= trivial and rhs <= trivial:
-                return True, "all-trivial", None, _EMPTY
-            lhs = lhs - trivial
-        elif not lhs and not rhs:
+        if lhs <= trivial and rhs <= trivial:
             return True, "all-trivial", None, _EMPTY
-        if not lhs:
-            return False, "empty-intersection", None, _EMPTY
+        if trivial:
+            lhs = lhs - trivial
         shared = lhs & rhs
         extra = lhs - shared
-        if not extra:
-            return True, "maximal", None, shared
-        reason = "not-maximal" if shared else "empty-intersection"
-        row = sides[right]
-        for d2 in self._carrier(right):
-            cell = row.get((c, d2), _EMPTY)
-            if shared <= cell and not extra.isdisjoint(cell):
-                return False, reason, d2, shared
+        if extra:
+            row = sides[right]
+            for d2 in self._carrier(right):
+                cell = row.get((c, d2), _EMPTY)
+                if shared <= cell and not extra.isdisjoint(cell):
+                    return (False, "not-maximal" if shared else "empty-intersection",
+                            d2, shared)
         if not shared:
-            return False, reason, None, shared
+            return False, "empty-intersection", None, shared
         return True, "maximal", None, shared
 
     @staticmethod

@@ -275,6 +275,12 @@ class TestBoundedGens:
         alg = FiniteAlgebra(name="bare", carrier=("a", "b"), constants={"c0": "b"})
         assert bounded_gens(["a"], alg, k=1, depth=0) == {Var("x1")}
 
+    def test_a_single_string_is_refused(self):
+        alg = FiniteAlgebra(name="bare", carrier=("e0", "e1"))
+        with pytest.raises(TypeError, match="sequence of values"):
+            bounded_gens("e0", alg, k=1, depth=1)
+        assert bounded_gens(["e0"], alg, k=1, depth=1) == {Var("x1")}
+
     def test_matches_direct_evaluation(self):
         rng = random.Random(616)
         for case in range(40):
