@@ -1,18 +1,19 @@
+import itertools
+import random
+from typing import Iterable, Iterator
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from anaprop.terms import (App, Var, canonical_term, generalizes, parse_term, positions, substitute,
+from anaprop.terms import (App, Position, Term, Var, canonical_term, fresh_renaming, generalizes,
+                           parse_term, positions, replace_at, substitute, subterm_at, term_size,
                            variables)
 from anaprop.trees import (
     ChiMap,
     check_tree_arrow,
     check_tree_proportion,
-    fresh_vars,
-    generalization_filter,
-    inverse_image,
     lgg,
     solve_tree_equation,
-    unique_match,
 )
 from tests.strategies import terms
 
@@ -22,6 +23,189 @@ x, y = Var("x1"), Var("x2")
 
 def f3(*args):
     return App("f", tuple(args))
+
+
+# ---------------------------------------------------------------------------
+# The reference: literal copies of the tree solver's generalization walk and of
+# the tree check's fresh-variable comparison, which the disagreement pairs of
+# lgg replaced in ``anaprop.trees``.
+
+
+def fresh_vars(context: Iterable[Term], term: Term) -> set[str]:
+    """Variables of ``term`` that do not occur in any context term."""
+    out = variables(term)
+    for t in context:
+        out -= variables(t)
+    return out
+
+
+def _reference_fresh_pair(p: Term, q: Term, r: Term, u: Term) -> tuple[set[str], set[str]]:
+    """Fresh variables of lgg(p, r) and of lgg(q, u) under one pair-variable map."""
+    chi = ChiMap()
+    context = [p, q, r, u]
+    chi.reserve(context)
+    left = lgg(p, r, chi)
+    right = lgg(q, u, chi)
+    return fresh_vars(context, left), fresh_vars(context, right)
+
+
+def unique_match(pattern: Term, instance: Term) -> dict[str, Term]:
+    """The unique assignment sending ``pattern`` to ``instance``."""
+    sigma = generalizes(pattern, instance)
+    if sigma is None:
+        raise ValueError(f"{pattern} does not generalize {instance}")
+    return sigma
+
+
+def _antichains(t: Term, pos: Position = ()) -> list[frozenset[Position]]:
+    """All antichains of positions of ``t`` (pairwise disjoint subtrees)."""
+    out = [frozenset(), frozenset([pos])]
+    if isinstance(t, App) and t.args:
+        children = [_antichains(a, pos + (i,)) for i, a in enumerate(t.args)]
+        for combo in itertools.product(*children):
+            merged = frozenset().union(*combo)
+            if merged:
+                out.append(merged)
+    return out
+
+
+def _set_partitions(items: list) -> Iterator[list[list]]:
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield [[first]] + part
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+
+
+def generalization_filter(w: Term) -> set[Term]:
+    """All generalizations of ``w``, canonically renamed.
+
+    A generalization picks an antichain of positions to abstract and groups
+    positions holding equal subterms into shared variables, in every
+    consistent way.
+    """
+    out: set[Term] = set()
+    seen_antichains: set[frozenset[Position]] = set()
+    for antichain in _antichains(w):
+        if antichain in seen_antichains:
+            continue
+        seen_antichains.add(antichain)
+        by_subterm: dict[Term, list[Position]] = {}
+        for pos in antichain:
+            by_subterm.setdefault(subterm_at(w, pos), []).append(pos)
+        group_partitions = [
+            list(_set_partitions(sorted(posns))) for posns in by_subterm.values()
+        ]
+        for combo in itertools.product(*group_partitions):
+            term = w
+            n = 0
+            for blocks in combo:
+                for block in blocks:
+                    n += 1
+                    v = Var(f"_g{n}")
+                    for pos in block:
+                        term = replace_at(term, pos, v)
+            out.add(canonical_term(term))
+    return out
+
+
+def inverse_image(q: Term, assignment: dict[str, Term]) -> set[Term]:
+    """All terms ``t`` over the assigned variables with ``substitute(t, o) == q``."""
+
+    def candidates(sub: Term) -> list[Term]:
+        outs: list[Term] = [Var(x) for x, img in assignment.items() if img == sub]
+        if isinstance(sub, Var):
+            if sub.name not in assignment:
+                outs.append(sub)
+        else:
+            assert isinstance(sub, App)
+            for combo in itertools.product(*(candidates(a) for a in sub.args)):
+                outs.append(App(sub.symbol, combo))
+        return outs
+
+    return set(candidates(q))
+
+
+def _reference_solve_tree(p: Term, q: Term, r: Term) -> set[Term]:
+    """The solutions of ``p -> q :: r -> x`` by the walk over every
+    generalization of lgg(p, r): the inverse images of ``q`` under the match
+    with ``p``, instantiated at the match with ``r``."""
+    chi = ChiMap()
+    chi.reserve([p, q, r])
+    avoid = variables(p) | variables(q) | variables(r)
+    out: set[Term] = set()
+    for s in generalization_filter(lgg(p, r, chi)):
+        s = substitute(s, fresh_renaming([s], avoid))
+        to_p = unique_match(s, p)
+        to_r = unique_match(s, r)
+        for t in inverse_image(q, to_p):
+            out.add(substitute(t, to_r))
+    return out
+
+
+SWEEP_SYMBOLS = [("f", 2), ("g", 1), ("h", 3)]
+# the walk is exponential in lgg(p, r); above this size one triple can take minutes
+SWEEP_MAX_LGG_SIZE = 10
+
+
+def _random_tree(rng: random.Random, depth: int, leaves: list[Term]) -> Term:
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice(leaves)
+    symbol, rank = rng.choice(SWEEP_SYMBOLS)
+    return App(symbol, tuple(_random_tree(rng, depth - 1, leaves) for _ in range(rank)))
+
+
+def sweep_triples(seed: int, count: int) -> list[tuple[Term, Term, Term]]:
+    """Seeded triples over f/2, g/1, h/3 and a, b, c, of depth at most 2: a
+    quarter also use the variables x1 and x2, and a fifth have r = p."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        leaves = [a, b, c] + ([x, y] if rng.random() < 0.25 else [])
+        p, q = _random_tree(rng, 2, leaves), _random_tree(rng, 2, leaves)
+        r = p if rng.random() < 0.2 else _random_tree(rng, 2, leaves)
+        if term_size(lgg(p, r)) <= SWEEP_MAX_LGG_SIZE:
+            out.append((p, q, r))
+    return out
+
+
+class TestReference:
+    def test_solver_matches_walk_on_sweep(self):
+        for p, q, r in sweep_triples(2026, 1500):
+            assert solve_tree_equation(p, q, r) == _reference_solve_tree(p, q, r), (p, q, r)
+
+    @given(terms(), terms(), terms())
+    @settings(max_examples=150, deadline=None)
+    def test_solver_matches_walk(self, p, q, r):
+        assert solve_tree_equation(p, q, r) == _reference_solve_tree(p, q, r)
+
+    @given(terms(), terms())
+    @settings(max_examples=100, deadline=None)
+    def test_solver_matches_walk_with_r_equal_p(self, p, q):
+        assert solve_tree_equation(p, q, p) == _reference_solve_tree(p, q, p)
+
+    def test_checks_match_fresh_variables_on_sweep(self):
+        rng = random.Random(7)
+        held = 0
+        for p, q, r in sweep_triples(26, 400):
+            # a solution of the arrow half of the time, so that both answers occur
+            sols = sorted(_reference_solve_tree(p, q, r), key=str)
+            u = rng.choice(sols) if rng.random() < 0.5 else _random_tree(rng, 2, [a, b, c, x])
+            left, right = _reference_fresh_pair(p, q, r, u)
+            assert check_tree_arrow(p, q, r, u) == (right <= left), (p, q, r, u)
+            assert check_tree_proportion(p, q, r, u) == (right == left), (p, q, r, u)
+            held += right <= left
+        assert 100 < held < 400
+
+    @given(terms(), terms(), terms(), terms())
+    @settings(max_examples=200)
+    def test_checks_match_fresh_variables(self, p, q, r, u):
+        left, right = _reference_fresh_pair(p, q, r, u)
+        assert check_tree_arrow(p, q, r, u) == (right <= left)
+        assert check_tree_proportion(p, q, r, u) == (right == left)
 
 
 class TestLgg:
