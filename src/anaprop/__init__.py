@@ -72,11 +72,8 @@ from .trees import (
     ChiMap,
     check_tree_arrow,
     check_tree_proportion,
-    generalization_filter,
-    inverse_image,
     lgg,
     solve_tree_equation,
-    unique_match,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -294,13 +294,27 @@ def _tokenize(text: str) -> list[str]:
     return tokens
 
 
+# The deepest nesting parse_term accepts (a leaf of ``g(g(a))`` is at depth
+# 2).  Under Python 3.11 the lgg, solve-tree, check-tree and check-rule commands
+# answered terms of depth 330 as processes and 315 under pytest, and failed with
+# a RecursionError one level further; the bound leaves the frames in between to
+# callers.
+MAX_TERM_DEPTH = 300
+
+
 def parse_term(text: str, signature: Optional[Signature] = None) -> Term:
-    """Parse prefix syntax, e.g. ``f(a,x1)``; bare tokens are constants or variables."""
+    """Parse prefix syntax, e.g. ``f(a,x1)``; bare tokens are constants or variables.
+
+    Terms nested deeper than ``MAX_TERM_DEPTH`` are refused.
+    """
     tokens = _tokenize(text)
     pos = 0
 
-    def parse() -> Term:
+    def parse(depth: int) -> Term:
         nonlocal pos
+        if depth > MAX_TERM_DEPTH:
+            raise TermSyntaxError(f"terms nested deeper than {MAX_TERM_DEPTH} levels "
+                                  "are not supported")
         if pos >= len(tokens):
             raise TermSyntaxError(f"unexpected end of input in {text!r}")
         tok = tokens[pos]
@@ -316,17 +330,17 @@ def parse_term(text: str, signature: Optional[Signature] = None) -> Term:
                 raise TermSyntaxError(f"missing ')' in {text!r}")
             items = []
             if tokens[pos] != ")":
-                items.append(parse())
+                items.append(parse(depth + 1))
                 while pos < len(tokens) and tokens[pos] == ",":
                     pos += 1
-                    items.append(parse())
+                    items.append(parse(depth + 1))
             if pos >= len(tokens) or tokens[pos] != ")":
                 raise TermSyntaxError(f"missing ')' in {text!r}")
             pos += 1
             args = tuple(items)
         return App(tok, args)
 
-    term = parse()
+    term = parse(0)
     if pos != len(tokens):
         raise TermSyntaxError(f"trailing input {' '.join(tokens[pos:])!r} in {text!r}")
     if signature is not None:

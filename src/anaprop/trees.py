@@ -1,30 +1,21 @@
 """Tree proportions in the free term algebra.
 
 Least general generalizations are computed with the classic pairwise
-anti-unification recursion; the pair-to-variable map is shared within a
-session so that the variable sets of two generalizations can be compared.
-The arrow check is a sufficient syntactic condition; the equation solver
-returns the exact, finite solution set of ``p -> q :: r -> x`` by ranging
-over generalizations of the left-hand anti-unifier.
+anti-unification recursion (Plotkin, "A note on inductive generalization",
+Machine Intelligence 5, 1970); the pair-to-variable map can be shared within
+a session.  Where that recursion stops, at roots that differ, it leaves a
+disagreement pair.  The arrow check is a sufficient syntactic condition on
+the disagreement pairs of lgg(p, r) and lgg(q, u).  The equation solver
+returns the exact, finite solution set of ``p -> q :: r -> x``: the terms
+built from ``q`` by replacing disjoint subterms with their partners in the
+disagreement pairs of lgg(p, r).
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
-from .terms import (
-    App,
-    Position,
-    Term,
-    Var,
-    canonical_term,
-    fresh_renaming,
-    generalizes,
-    replace_at,
-    substitute,
-    subterm_at,
-    variables,
-)
+from .terms import App, Term, Var, variables
 
 
 class ChiMap:
@@ -78,140 +69,71 @@ def lgg(p: Term, q: Term, chi: Optional[ChiMap] = None) -> Term:
     return go(p, q)
 
 
-def fresh_vars(context: Iterable[Term], term: Term) -> set[str]:
-    """Variables of ``term`` that do not occur in any context term."""
-    out = variables(term)
-    for t in context:
-        out -= variables(t)
+def disagreements(p: Term, r: Term) -> dict[Term, set[Term]]:
+    """The disagreement pairs of lgg(p, r), as a map from each left term to its partners.
+
+    The pairs are (p|pi, r|pi) at the variable positions of lgg(p, r): the
+    descent of :func:`lgg` stops where the roots differ in symbol or arity.
+    An identical variable pair is no disagreement, as ``ChiMap`` keeps it.
+    """
+    out: dict[Term, set[Term]] = {}
+    stack = [(p, r)]
+    while stack:
+        s, t = stack.pop()
+        if (
+            isinstance(s, App)
+            and isinstance(t, App)
+            and s.symbol == t.symbol
+            and len(s.args) == len(t.args)
+        ):
+            stack.extend(zip(s.args, t.args))
+        elif s != t:
+            out.setdefault(s, set()).add(t)
     return out
-
-
-def _fresh_pair(p: Term, q: Term, r: Term, u: Term) -> tuple[set[str], set[str]]:
-    """Fresh variables of lgg(p, r) and of lgg(q, u) under one pair-variable map."""
-    chi = ChiMap()
-    context = [p, q, r, u]
-    chi.reserve(context)
-    left = lgg(p, r, chi)
-    right = lgg(q, u, chi)
-    return fresh_vars(context, left), fresh_vars(context, right)
 
 
 def check_tree_arrow(p: Term, q: Term, r: Term, u: Term) -> bool:
     """Sufficient condition for the arrow proportion ``p -> q :: r -> u``.
 
-    Compares the fresh variables of the two anti-unifiers under a shared
-    pair-variable map.  True establishes the arrow; False means the arrow is
-    not established by this check, not that it is refuted.
+    Holds when every disagreement pair of lgg(q, u) is one of lgg(p, r): then
+    lgg(p, r) -> lgg(q, u), under one pair-variable map, is a rule justifying
+    both arrows.  True establishes the arrow; False means the arrow is not
+    established by this check, not that it is refuted.
     """
-    left, right = _fresh_pair(p, q, r, u)
-    return right <= left
+    left = disagreements(p, r)
+    return all(t in left and ys <= left[t] for t, ys in disagreements(q, u).items())
 
 
 def check_tree_proportion(p: Term, q: Term, r: Term, u: Term) -> bool:
-    """Sufficient condition for the full proportion ``p : q :: r : u``."""
-    left, right = _fresh_pair(p, q, r, u)
-    return right == left
-
-
-def unique_match(pattern: Term, instance: Term) -> dict[str, Term]:
-    """The unique assignment sending ``pattern`` to ``instance``."""
-    sigma = generalizes(pattern, instance)
-    if sigma is None:
-        raise ValueError(f"{pattern} does not generalize {instance}")
-    return sigma
-
-
-# ---------------------------------------------------------------------------
-# Principal filters of generalizations, modulo renaming
-
-
-def _antichains(t: Term, pos: Position = ()) -> list[frozenset[Position]]:
-    """All antichains of positions of ``t`` (pairwise disjoint subtrees)."""
-    out = [frozenset(), frozenset([pos])]
-    if isinstance(t, App) and t.args:
-        children = [_antichains(a, pos + (i,)) for i, a in enumerate(t.args)]
-        for combo in itertools.product(*children):
-            merged = frozenset().union(*combo)
-            if merged:
-                out.append(merged)
-    return out
-
-
-def _set_partitions(items: list) -> Iterator[list[list]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield [[first]] + part
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-
-
-def generalization_filter(w: Term) -> set[Term]:
-    """All generalizations of ``w``, canonically renamed.
-
-    A generalization picks an antichain of positions to abstract and groups
-    positions holding equal subterms into shared variables, in every
-    consistent way.
-    """
-    out: set[Term] = set()
-    seen_antichains: set[frozenset[Position]] = set()
-    for antichain in _antichains(w):
-        if antichain in seen_antichains:
-            continue
-        seen_antichains.add(antichain)
-        by_subterm: dict[Term, list[Position]] = {}
-        for pos in antichain:
-            by_subterm.setdefault(subterm_at(w, pos), []).append(pos)
-        group_partitions = [
-            list(_set_partitions(sorted(posns))) for posns in by_subterm.values()
-        ]
-        for combo in itertools.product(*group_partitions):
-            term = w
-            n = 0
-            for blocks in combo:
-                for block in blocks:
-                    n += 1
-                    v = Var(f"_g{n}")
-                    for pos in block:
-                        term = replace_at(term, pos, v)
-            out.add(canonical_term(term))
-    return out
-
-
-def inverse_image(q: Term, assignment: dict[str, Term]) -> set[Term]:
-    """All terms ``t`` over the assigned variables with ``substitute(t, o) == q``."""
-
-    def candidates(sub: Term) -> list[Term]:
-        outs: list[Term] = [Var(x) for x, img in assignment.items() if img == sub]
-        if isinstance(sub, Var):
-            if sub.name not in assignment:
-                outs.append(sub)
-        else:
-            assert isinstance(sub, App)
-            for combo in itertools.product(*(candidates(a) for a in sub.args)):
-                outs.append(App(sub.symbol, combo))
-        return outs
-
-    return set(candidates(q))
+    """Sufficient condition for the full proportion ``p : q :: r : u``: lgg(p, r)
+    and lgg(q, u) have the same disagreement pairs."""
+    return disagreements(q, u) == disagreements(p, r)
 
 
 def solve_tree_equation(p: Term, q: Term, r: Term) -> set[Term]:
     """The exact solution set of the arrow equation ``p -> q :: r -> x``.
 
-    Ranges over all generalizations of the anti-unifier of ``p`` and ``r``;
-    for each, the candidate right-hand sides are the inverse images of ``q``
-    under the match with ``p``, instantiated at the match with ``r``.
+    Every solution is ``q`` with some disjoint subterms ``v`` each replaced by
+    a partner ``y``, where ``(v, y)`` is a disagreement pair of the least
+    general generalization of ``p`` and ``r`` (Plotkin, "A note on inductive
+    generalization", Machine Intelligence 5, 1970): refining each left-hand
+    variable of a justifying rule to lgg(p|rho, r|rho) keeps the arrow and
+    breaks every replacement into such pairs.  The solutions of each distinct
+    subterm of ``q`` are built once, from those of its arguments.
     """
-    chi = ChiMap()
-    chi.reserve([p, q, r])
-    avoid = variables(p) | variables(q) | variables(r)
-    out: set[Term] = set()
-    for s in generalization_filter(lgg(p, r, chi)):
-        s = substitute(s, fresh_renaming([s], avoid))
-        to_p = unique_match(s, p)
-        to_r = unique_match(s, r)
-        for t in inverse_image(q, to_p):
-            out.add(substitute(t, to_r))
-    return out
+    partners = disagreements(p, r)
+    memo: dict[Term, set[Term]] = {}
+
+    def sols(v: Term) -> set[Term]:
+        got = memo.get(v)
+        if got is None:
+            got = set(partners.get(v, ()))
+            if isinstance(v, App) and v.args:
+                got.update(App(v.symbol, args)
+                           for args in itertools.product(*map(sols, v.args)))
+            else:
+                got.add(v)
+            memo[v] = got
+        return got
+
+    return sols(q)

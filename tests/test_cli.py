@@ -14,6 +14,7 @@ import anaprop.cli as cli
 from anaprop.algebras import FiniteAlgebra, algebra_to_json, save_finite_algebra
 from anaprop.cli import COMMANDS, ORACLE_TERM_LIMIT, load_algebra, run
 from anaprop.oracle import OracleUniverse
+from anaprop.terms import MAX_TERM_DEPTH
 from anaprop.algebras import IntAddition, NaturalMultiplication, WordConcatenation
 
 
@@ -286,6 +287,34 @@ class TestTreeCommands:
         status, _, err = invoke(capsys, "lgg", "f(a", "f(b)")
         assert status == 2
         assert "error" in err
+
+
+def nested(depth: int, leaf: str, symbol: str = "g(") -> str:
+    """``leaf`` under ``depth`` applications of a unary symbol."""
+    return symbol * depth + leaf + ")" * depth
+
+
+class TestTermDepthBound:
+    # one command line per subcommand that parses terms, at a given nesting depth
+    COMMANDS = {
+        "lgg": lambda n: ["lgg", nested(n, "a"), nested(n, "b")],
+        "solve-tree": lambda n: ["solve-tree", nested(n, "a"), nested(n, "a"), nested(n, "b")],
+        "check-tree": lambda n: ["check-tree", nested(n, "a"), nested(n, "a"),
+                                 nested(n, "b"), nested(n, "b")],
+        "check-rule": lambda n: ["check-rule", nested(n, "x1", "*(2,") + " -> x1",
+                                 "4", "2", "6", "3", "--algebra", "nmul"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_answers_at_the_bound(self, capsys, command):
+        status, out, err = invoke(capsys, *self.COMMANDS[command](MAX_TERM_DEPTH))
+        assert (status, err) == (0, "")
+        assert out
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_refused_past_the_bound(self, capsys, command):
+        assert invoke(capsys, *self.COMMANDS[command](MAX_TERM_DEPTH + 1)) == (
+            2, "", f"error: terms nested deeper than {MAX_TERM_DEPTH} levels are not supported\n")
 
 
 class TestAntiunify:

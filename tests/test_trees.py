@@ -392,6 +392,14 @@ class TestSolveTreeEquation:
         for u in solve_tree_equation(p, q, r):
             assert check_tree_arrow(p, q, r, u)
 
+    def test_every_disagreement_subset(self):
+        # D(p, r) = {(a, b)}: each of the six a's of q may become b on its own
+        fs = [parse_term(t) for t in ("f(a,a)", "f(a,b)", "f(b,a)", "f(b,b)")]
+        q = parse_term("h(f(a,a),f(a,a),f(a,a))")
+        got = solve_tree_equation(q, q, parse_term("h(f(b,b),f(b,b),f(b,b))"))
+        assert got == {App("h", args) for args in itertools.product(fs, repeat=3)}
+        assert len(got) == 64
+
     def test_constants_only(self):
         assert solve_tree_equation(a, b, c) == {b}
 
